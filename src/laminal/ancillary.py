@@ -1,28 +1,35 @@
 """Ancillary structure of a finite model.
 
 An ancillary statistic is a partition whose block probabilities do not
-depend on the parameter.  This module enumerates all of them, finds the
-maximal ones (no ancillary strictly refines them), the minimal ones
-(coarsenings of every maximal), and their maximum, the laminal ancillary.
+depend on the parameter.  This module finds all of them, the maximal ones
+(no ancillary strictly refines them), the minimal ones (coarsenings of
+every maximal), and their maximum, the laminal ancillary.
+
+Every answer is read from one table per call: the zero-sum events (equal
+probability under every theta), found by a 2^n integer scan.  Ancillaries
+are the covers of the sample space by disjoint nonempty zero-sum events.
+With ``within`` the table is that of the pushforward model on the blocks
+of ``within``, and answers are lifted back to the sample space.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it
-ancillary.  The quantifier over all weight vectors reduces, by linearity,
-to point masses, i.e. to checking ancillarity in each conditional model
-given a block of the other statistic; that reduction is the load-bearing
-lemma here.  Stability is computed both this definitional way and through
-the structural characterization (coarsening of every maximal ancillary),
-and the two routes are cross-checked on every call, so the theory the
-package relies on is re-verified continuously rather than trusted.
-
-All functions are pure; enumeration results are memoized per model.
+ancillary.  By linearity, point masses suffice: ancillarity given each
+block B of another ancillary.  P(B) is parameter-free, so that means every
+U & B is zero-sum (U a block of the statistic), and as every zero-sum
+event is a block of some ancillary, a statistic is stable exactly when its
+blocks are conforming: their intersection with every zero-sum event is
+zero-sum.  This U & B lemma is cross-checked on every call against the
+structural characterization (coarsening of every maximal ancillary), and
+``is_strong`` re-derives it from conditional models.  Nothing is kept
+between calls, so all functions are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import (
     InternalCheckError,
@@ -33,9 +40,9 @@ from .errors import (
 from .model import (
     FiniteModel,
     ancillary_distribution,
+    block_probabilities,
     condition_on_event,
     event_support,
-    mixture_model,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -45,182 +52,13 @@ from .partitions import (
     join,
 )
 
-#: Bound on the sample-space size for the 2^n ancillary-event scan.
+#: Bound on the number of points (or restriction blocks) for the 2^n event scan.
 EVENT_SCAN_CAP = 20
-
-# Four-block reweighting exercised by the example3 report; tried after the
-# point masses in the witness search so reported witnesses stay reproducible.
-_DEMO_REWEIGHT = (
-    Fraction(7, 100),
-    Fraction(13, 100),
-    Fraction(27, 100),
-    Fraction(53, 100),
-)
 
 
 def is_ancillary(model: FiniteModel, p: Partition) -> bool:
     """True when every block of ``p`` has the same probability under all theta."""
     return ancillary_distribution(model, p) is not None
-
-
-@lru_cache(maxsize=256)
-def _ancillaries_cached(
-    model: FiniteModel, within: Partition | None, cap: int
-) -> tuple[Partition, ...]:
-    return tuple(
-        p
-        for p in enumerate_partitions(model.n_samples, within, cap)
-        if is_ancillary(model, p)
-    )
-
-
-def ancillaries(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Partition, ...]:
-    """All ancillary partitions, canonically sorted.
-
-    With ``within`` (typically the minimal sufficient partition) only
-    coarsenings of it are considered, i.e. only statistics that are
-    functions of it.  The trivial one-block partition is always included.
-    """
-    return tuple(sorted(_ancillaries_cached(model, within, cap)))
-
-
-@lru_cache(maxsize=256)
-def _maximal_cached(
-    model: FiniteModel, within: Partition | None, cap: int
-) -> tuple[Partition, ...]:
-    anc = _ancillaries_cached(model, within, cap)
-    return tuple(
-        sorted(
-            p
-            for p in anc
-            if not any(q != p and is_coarsening(p, q) for q in anc)
-        )
-    )
-
-
-def maximal_ancillaries(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Partition, ...]:
-    """Ancillaries that no other ancillary strictly refines."""
-    return _maximal_cached(model, within, cap)
-
-
-def minimal_ancillaries(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Partition, ...]:
-    """Ancillaries that are coarsenings of every maximal ancillary."""
-    maxs = _maximal_cached(model, within, cap)
-    return tuple(
-        sorted(
-            p
-            for p in _ancillaries_cached(model, within, cap)
-            if all(is_coarsening(p, w) for w in maxs)
-        )
-    )
-
-
-def laminal(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Partition:
-    """The finest common coarsening of all maximal ancillaries.
-
-    This is the maximum of the minimal ancillaries; both facts are
-    re-checked on every call.  With a unique maximal ancillary the join is
-    that maximal itself.
-    """
-    maxs = _maximal_cached(model, within, cap)
-    lam = join(maxs)
-    mins = minimal_ancillaries(model, within, cap)
-    if not is_ancillary(model, lam):
-        raise InternalCheckError("join of maximal ancillaries is not ancillary")
-    if lam not in mins:
-        raise InternalCheckError("laminal is not among the minimal ancillaries")
-    if not all(is_coarsening(p, lam) for p in mins):
-        raise InternalCheckError("a minimal ancillary does not coarsen the laminal")
-    return lam
-
-
-@lru_cache(maxsize=8192)
-def _conditional_ancillary(model: FiniteModel, event: tuple, p: Partition) -> bool:
-    # Ancillarity of the trace of p in the model conditioned on event.
-    # Blocks of an ancillary always have positive mass in a valid model, so
-    # conditioning is defined whenever event is such a block.  The same
-    # (event, statistic) pairs recur across the stable/strong sweeps, hence
-    # the memoization.
-    kept = event_support(model, event)
-    return is_ancillary(condition_on_event(model, event), p.restrict(kept))
-
-
-def _stability_routes(
-    model: FiniteModel,
-    u: Partition,
-    within: Partition | None,
-    cap: int,
-) -> bool:
-    # Definitional route: u stays ancillary in the conditional model given
-    # each block of each ancillary (point masses suffice by linearity in the
-    # weights).  Structural route: u coarsens every maximal ancillary.  The
-    # two must agree; raising otherwise turns the theory into a self-check.
-    structural = all(
-        is_coarsening(u, w) for w in _maximal_cached(model, within, cap)
-    )
-    definitional = all(
-        _conditional_ancillary(model, block, u)
-        for v in _ancillaries_cached(model, within, cap)
-        for block in v.blocks
-    )
-    if structural != definitional:
-        raise InternalCheckError(
-            "stability routes disagree: structural="
-            f"{structural}, definitional={definitional} for {u!r}"
-        )
-    return structural
-
-
-def is_stable(
-    model: FiniteModel, u: Partition, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """True when no reweighting of any other ancillary makes ``u`` informative.
-
-    Computed by both the definitional route (ancillarity in every
-    conditional model given a block of another ancillary) and the structural
-    one (coarsening of every maximal ancillary); the call fails loudly if
-    the two ever disagree.
-    """
-    if ancillary_distribution(model, u) is None:
-        raise NotAncillary("stability is only defined for ancillary statistics")
-    return _stability_routes(model, u, None, cap)
-
-
-def is_strong(
-    model: FiniteModel, u: Partition, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """True when reweighting ``u`` never makes another ancillary informative.
-
-    Checked by conditioning on each block of ``u`` and testing every other
-    ancillary there; the result must coincide with ``is_stable``.
-    """
-    if ancillary_distribution(model, u) is None:
-        raise NotAncillary("strength is only defined for ancillary statistics")
-    strong = all(
-        _conditional_ancillary(model, block, v)
-        for block in u.blocks
-        for v in _ancillaries_cached(model, None, cap)
-    )
-    stable = is_stable(model, u, cap)
-    if strong != stable:
-        raise InternalCheckError(f"strong/stable disagree for {u!r}")
-    return strong
 
 
 @dataclass(frozen=True)
@@ -244,13 +82,233 @@ class InstabilityWitness:
             raise ValueError("witness probabilities must differ")
 
 
-def _witness_weight_family(n_blocks: int):
-    for i in range(n_blocks):
-        yield tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(n_blocks)
-        )
-    if n_blocks == len(_DEMO_REWEIGHT):
-        yield _DEMO_REWEIGHT
+def _lift(p: Partition, mask: int) -> list[int]:
+    """Points of the blocks of ``p`` selected by the bits of ``mask``."""
+    return [e for i, b in enumerate(p.blocks) if mask >> i & 1 for e in b]
+
+
+def _events(p: Partition, masks) -> tuple[frozenset[int], ...]:
+    """The lifted events, canonically sorted."""
+    out = (frozenset(_lift(p, z)) for z in masks)
+    return tuple(sorted(out, key=lambda e: (len(e), sorted(e))))
+
+
+class _Lattice:
+    """The zero-sum event table of one model, and every answer read from it.
+
+    Events are bitmasks over the blocks of ``within`` (bit i is block i);
+    None stands for the singletons.  Each answer is computed on first use,
+    after the cap that guards it (2^k scan, ancillary search) is checked.
+    """
+
+    def __init__(self, model: FiniteModel, within: Partition | None, cap: int,
+                 event_cap: int = EVENT_SCAN_CAP):
+        self.model, self.cap, self.event_cap = model, cap, event_cap
+        # A within over another ground set fails in block_probabilities.
+        self.within = Partition.singletons(model.n_samples) if within is None else within
+        self.k = self.within.n_blocks
+
+    @cached_property
+    def zero(self) -> frozenset[int]:
+        """Masks of all zero-sum events, the empty and the full one included."""
+        if self.k > self.event_cap:
+            raise SizeCapExceeded(
+                f"2^{self.k} event scan exceeds the cap of 2^{self.event_cap}"
+            )
+        rows = block_probabilities(self.model, self.within)
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        diffs = [[int((a - b) * scale) for a, b in zip(row, rows[0])] for row in rows[1:]]
+        # One integer per point: its differences as digits in the balanced
+        # base 2*bound+1.  No digit sum reaches half the base, so a packed
+        # sum is zero exactly when every difference sum is.
+        base = 2 * max((sum(map(abs, d)) for d in diffs), default=0) + 1
+        weight = [sum(d[i] * base**t for t, d in enumerate(diffs)) for i in range(self.k)]
+        found, mask, total = [0], 0, 0
+        for step in range(1, 1 << self.k):  # Gray-code order: one point per step
+            bit = (step & -step).bit_length() - 1
+            mask ^= 1 << bit
+            total += weight[bit] if mask >> bit & 1 else -weight[bit]
+            if total == 0:
+                found.append(mask)
+        return frozenset(found)
+
+    @cached_property
+    def conforming(self) -> frozenset[int]:
+        zero = self.zero
+        return frozenset(c for c in zero if all(c & z in zero for z in zero))
+
+    @cached_property
+    def _blocks(self) -> dict[Partition, tuple[int, ...]]:
+        # Every ancillary with its block masks.  The search branches on the
+        # lowest uncovered point; what is left uncovered is always zero-sum
+        # (the full set and the covered blocks are), so no branch dead-ends.
+        if self.k > self.cap:
+            raise SizeCapExceeded(
+                f"enumeration over {self.k} items exceeds the cap of {self.cap}"
+            )
+        full = (1 << self.k) - 1
+        by_lowest: list[list[int]] = [[] for _ in range(self.k)]
+        for z in sorted(self.zero - {0}):
+            by_lowest[(z & -z).bit_length() - 1].append(z)
+        n, found = self.model.n_samples, {}
+
+        def extend(covered: int, blocks: tuple[int, ...]) -> None:
+            if covered == full:
+                found[Partition((_lift(self.within, b) for b in blocks), n)] = blocks
+                return
+            free = full & ~covered
+            for z in by_lowest[(free & -free).bit_length() - 1]:
+                if not z & covered:
+                    extend(covered | z, blocks + (z,))
+
+        extend(0, ())
+        return found
+
+    @cached_property
+    def ancillaries(self) -> tuple[Partition, ...]:
+        return tuple(sorted(self._blocks))
+
+    @cached_property
+    def maximal(self) -> tuple[Partition, ...]:
+        anc = self.ancillaries
+        return tuple(p for p in anc if not any(q != p and is_coarsening(p, q) for q in anc))
+
+    @cached_property
+    def minimal(self) -> tuple[Partition, ...]:
+        maxs = self.maximal
+        return tuple(p for p in self.ancillaries if all(is_coarsening(p, w) for w in maxs))
+
+    @cached_property
+    def laminal(self) -> Partition:
+        lam = join(self.maximal)
+        if not is_ancillary(self.model, lam):
+            raise InternalCheckError("join of maximal ancillaries is not ancillary")
+        if lam not in self.minimal:
+            raise InternalCheckError("laminal is not among the minimal ancillaries")
+        if not all(is_coarsening(p, lam) for p in self.minimal):
+            raise InternalCheckError("a minimal ancillary does not coarsen the laminal")
+        return lam
+
+    def is_stable(self, u: Partition) -> bool:
+        # Definitional route: every block of u is conforming (point masses
+        # and the U & B lemma).  Structural route: u coarsens every maximal
+        # ancillary.  Raising on disagreement turns the theory into a check.
+        if u not in self._blocks:
+            raise NotAncillary(f"{u!r} is not an ancillary of this lattice")
+        definitional = all(b in self.conforming for b in self._blocks[u])
+        structural = all(is_coarsening(u, w) for w in self.maximal)
+        if structural != definitional:
+            raise InternalCheckError(
+                f"stability routes disagree for {u!r}: "
+                f"structural={structural}, definitional={definitional}"
+            )
+        return structural
+
+    @cached_property
+    def _enumeration_order(self) -> list[Partition]:
+        # Witnesses are searched in enumerate_partitions order, so the one
+        # reported does not depend on the order of the cover search.
+        parts = enumerate_partitions(self.model.n_samples, self.within, self.cap)
+        return [p for p in parts if p in self._blocks]
+
+    def witness(self, u: Partition) -> InstabilityWitness | None:
+        if self.is_stable(u):
+            return None
+        model = self.model
+        for v in self._enumeration_order:
+            for i, b in enumerate(self._blocks[v]):
+                for block, c in enumerate(self._blocks[u]):
+                    if b & c in self.zero:
+                        continue
+                    # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t.
+                    mass = model.event_prob(0, _lift(self.within, b))
+                    trace = _lift(self.within, b & c)
+                    vals = [model.event_prob(t, trace) / mass for t in range(model.n_thetas)]
+                    t = next(t for t, p in enumerate(vals) if p != vals[0])
+                    weights = tuple(Fraction(int(x == i)) for x in range(v.n_blocks))
+                    return InstabilityWitness(u, v, weights, block, (vals[0], vals[t]), (0, t))
+        raise InternalCheckError(f"{u!r} is unstable but no witness was found")
+
+
+def ancillaries(
+    model: FiniteModel,
+    within: Partition | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[Partition, ...]:
+    """All ancillary partitions, canonically sorted.
+
+    With ``within`` (typically the minimal sufficient partition) only
+    coarsenings of it are considered, i.e. only statistics that are
+    functions of it.  The trivial one-block partition is always included.
+    """
+    return _Lattice(model, within, cap).ancillaries
+
+
+def maximal_ancillaries(
+    model: FiniteModel,
+    within: Partition | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[Partition, ...]:
+    """Ancillaries that no other ancillary strictly refines."""
+    return _Lattice(model, within, cap).maximal
+
+
+def minimal_ancillaries(
+    model: FiniteModel,
+    within: Partition | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[Partition, ...]:
+    """Ancillaries that are coarsenings of every maximal ancillary."""
+    return _Lattice(model, within, cap).minimal
+
+
+def laminal(
+    model: FiniteModel,
+    within: Partition | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> Partition:
+    """The finest common coarsening of all maximal ancillaries.
+
+    This is the maximum of the minimal ancillaries; both facts are
+    re-checked on every call.  With a unique maximal ancillary the join is
+    that maximal itself.
+    """
+    return _Lattice(model, within, cap).laminal
+
+
+def is_stable(
+    model: FiniteModel, u: Partition, cap: int = DEFAULT_ENUMERATION_CAP
+) -> bool:
+    """True when no reweighting of any other ancillary makes ``u`` informative.
+
+    Computed by both the definitional route (every block of ``u`` is a
+    conforming event) and the structural one (coarsening of every maximal
+    ancillary); the call fails loudly if the two ever disagree.
+    """
+    if ancillary_distribution(model, u) is None:
+        raise NotAncillary("stability is only defined for ancillary statistics")
+    return _Lattice(model, None, cap).is_stable(u)
+
+
+def is_strong(
+    model: FiniteModel, u: Partition, cap: int = DEFAULT_ENUMERATION_CAP
+) -> bool:
+    """True when reweighting ``u`` never makes another ancillary informative.
+
+    Checked by conditioning on each block of ``u`` and testing every other
+    ancillary in that conditional model, independently of the U & B lemma;
+    the result must coincide with ``is_stable``.
+    """
+    if ancillary_distribution(model, u) is None:
+        raise NotAncillary("strength is only defined for ancillary statistics")
+    lat = _Lattice(model, None, cap)
+    conds = [(condition_on_event(model, b), event_support(model, b)) for b in u.blocks]
+    strong = all(
+        is_ancillary(c, v.restrict(kept)) for c, kept in conds for v in lat.ancillaries
+    )
+    if strong != lat.is_stable(u):
+        raise InternalCheckError(f"strong/stable disagree for {u!r}")
+    return strong
 
 
 def instability_witness(
@@ -259,44 +317,18 @@ def instability_witness(
     cap: int = DEFAULT_ENUMERATION_CAP,
     within: Partition | None = None,
 ) -> InstabilityWitness | None:
-    """First reweighting (deterministic search order) that destabilizes ``u``.
+    """First point-mass reweighting (deterministic order) that destabilizes ``u``.
 
-    Candidates run through ancillaries in enumeration order, with point
-    masses on each block first; point masses are complete (an unstable
-    statistic always fails in some conditional model), so the search cannot
-    miss.  Returns None when ``u`` is stable.  With ``within`` both the
-    stability decision and the search stay inside that restricted lattice.
+    Candidates are point masses on each block of each ancillary, the
+    ancillaries in enumeration order.  Point masses are complete (an
+    unstable statistic always fails in some conditional model), so the
+    search cannot miss.  Returns None when ``u`` is stable.  With
+    ``within`` the decision and the search stay inside that restricted
+    lattice, of which ``u`` must be an ancillary.
     """
     if ancillary_distribution(model, u) is None:
         raise NotAncillary("stability is only defined for ancillary statistics")
-    if _stability_routes(model, u, within, cap):
-        return None
-    for v in _ancillaries_cached(model, within, cap):
-        for w in _witness_weight_family(v.n_blocks):
-            mix = mixture_model(model, v, w)
-            kept = [
-                j for j in range(model.n_samples) if w[v.block_of(j)] > 0
-            ]
-            pos = {e: i for i, e in enumerate(kept)}
-            for b_idx, block in enumerate(u.blocks):
-                trace = [pos[e] for e in block if e in pos]
-                if not trace:
-                    continue
-                vals = [
-                    mix.event_prob(t, trace) for t in range(mix.n_thetas)
-                ]
-                for t1 in range(len(vals)):
-                    for t2 in range(t1 + 1, len(vals)):
-                        if vals[t1] != vals[t2]:
-                            return InstabilityWitness(
-                                unstable=u,
-                                via=v,
-                                weights=w,
-                                block=b_idx,
-                                lr=(vals[t1], vals[t2]),
-                                thetas=(t1, t2),
-                            )
-    raise InternalCheckError(f"{u!r} is unstable but no witness was found")
+    return _Lattice(model, within, cap).witness(u)
 
 
 def ancillary_events(
@@ -307,42 +339,13 @@ def ancillary_events(
     Scans all 2^n subsets (Gray-code order internally, canonical order in
     the output), so ``n`` is capped.
     """
-    n, m = model.n_samples, model.n_thetas
-    if n > cap:
-        raise SizeCapExceeded(f"2^{n} event scan exceeds the cap of 2^{cap}")
-    rows = model.probs
-    sums = [Fraction(0)] * m
-    current = 0
-    found = [frozenset()]
-    for k in range(1, 1 << n):
-        bit = (k & -k).bit_length() - 1
-        current ^= 1 << bit
-        if current >> bit & 1:
-            for t in range(m):
-                sums[t] += rows[t][bit]
-        else:
-            for t in range(m):
-                sums[t] -= rows[t][bit]
-        if all(s == sums[0] for s in sums[1:]):
-            found.append(
-                frozenset(j for j in range(n) if current >> j & 1)
-            )
-    found.sort(key=lambda e: (len(e), sorted(e)))
-    return tuple(found)
+    lat = _Lattice(model, None, DEFAULT_ENUMERATION_CAP, cap)
+    return _events(lat.within, lat.zero)
 
 
 def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
     """All unions of blocks of ``p`` (the algebra it generates)."""
-    out = []
-    k = p.n_blocks
-    for mask in range(1 << k):
-        e: set[int] = set()
-        for i in range(k):
-            if mask >> i & 1:
-                e.update(p.blocks[i])
-        out.append(frozenset(e))
-    out.sort(key=lambda e: (len(e), sorted(e)))
-    return tuple(out)
+    return _events(p, range(1 << p.n_blocks))
 
 
 def gamma0(
@@ -353,28 +356,23 @@ def gamma0(
     """Ancillary events whose intersection with every ancillary event is ancillary.
 
     The result is re-checked to be an algebra (closed under complement and
-    union) and to coincide with the algebra generated by the laminal
-    ancillary's blocks.
+    union) and, when ``n`` is within ``cap``, to coincide with the algebra
+    generated by the laminal ancillary's blocks.
     """
-    events = ancillary_events(model, event_cap)
-    eset = set(events)
-    conforming = [e for e in events if all((e & f) in eset for f in events)]
-    cset = set(conforming)
-    full = frozenset(range(model.n_samples))
-    for e in conforming:
-        if (full - e) not in cset:
+    lat = _Lattice(model, None, cap, event_cap)
+    conf = lat.conforming
+    full = (1 << lat.k) - 1
+    for c in conf:
+        if full ^ c not in conf:
             raise InternalCheckError("conforming events not closed under complement")
-    for e in conforming:
-        for f in conforming:
-            if (e | f) not in cset:
-                raise InternalCheckError("conforming events not closed under union")
-    if model.n_samples <= cap:
-        lam = laminal(model, None, cap)
-        if set(algebra_generated_by(lam)) != cset:
-            raise InternalCheckError(
-                "conforming-event algebra differs from the laminal algebra"
-            )
-    return tuple(conforming)
+        if any(c | d not in conf for d in conf):
+            raise InternalCheckError("conforming events not closed under union")
+    events = _events(lat.within, conf)
+    if lat.k <= cap and set(algebra_generated_by(lat.laminal)) != set(events):
+        raise InternalCheckError(
+            "conforming-event algebra differs from the laminal algebra"
+        )
+    return events
 
 
 @dataclass(frozen=True)
@@ -384,7 +382,8 @@ class AncillaryClassification:
     All collections are canonically sorted tuples (deduplicated by
     construction), so reports built from them are deterministic.
     ``restricted_to_mss`` records whether enumeration was restricted to
-    functions of the minimal sufficient partition.
+    functions of the minimal sufficient partition.  ``witnesses`` holds one
+    instability witness per non-stable ancillary, in ``ancillaries`` order.
     """
 
     ancillaries: tuple[Partition, ...]
@@ -394,6 +393,7 @@ class AncillaryClassification:
     stable: tuple[Partition, ...]
     gamma0: tuple[frozenset[int], ...]
     restricted_to_mss: bool
+    witnesses: tuple[InstabilityWitness, ...]
 
 
 def classify(
@@ -411,25 +411,19 @@ def classify(
     """
     from .sufficiency import mss_partition
 
-    anc = ancillaries(model, within, cap)
-    maxs = maximal_ancillaries(model, within, cap)
-    mins = minimal_ancillaries(model, within, cap)
-    lam = laminal(model, within, cap)
-    stable = tuple(
-        sorted(u for u in anc if _stability_routes(model, u, within, cap))
-    )
-    g0 = gamma0(model, cap)
-    if stable != mins:
+    lat = _Lattice(model, within, cap)
+    stable = tuple(u for u in lat.ancillaries if lat.is_stable(u))
+    if stable != lat.minimal:
         raise InternalCheckError("stable ancillaries differ from minimal ones")
-    restricted = within is not None and within == mss_partition(model)
     return AncillaryClassification(
-        ancillaries=anc,
-        maximal=maxs,
-        minimal=mins,
-        laminal=lam,
+        ancillaries=lat.ancillaries,
+        maximal=lat.maximal,
+        minimal=lat.minimal,
+        laminal=lat.laminal,
         stable=stable,
-        gamma0=g0,
-        restricted_to_mss=restricted,
+        gamma0=gamma0(model, cap),
+        restricted_to_mss=within is not None and within == mss_partition(model),
+        witnesses=tuple(w for w in map(lat.witness, lat.ancillaries) if w),
     )
 
 

@@ -22,12 +22,11 @@ from pathlib import Path
 from .ancillary import (
     classify,
     conditional_mle_table,
-    instability_witness,
     mle,
     mle_ties,
 )
 from .corpus import audit_corpus
-from .errors import LaminalError, SizeCapExceeded
+from .errors import LaminalError, ModelFormatError, SizeCapExceeded
 from .evidence import (
     audit_relation,
     content_hash,
@@ -112,7 +111,10 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _load_model(path: str) -> FiniteModel:
-    return parse_model(Path(path).read_text())
+    try:
+        return parse_model(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc}") from None
 
 
 def _model_table(model: FiniteModel, extra_rows: list[list[str]] | None = None) -> list[str]:
@@ -140,8 +142,7 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
     model = _load_model(args.model_file)
     labels = model.sample_labels
     mss = mss_partition(model)
-    within = mss if args.within_mss else None
-    cls = classify(model, within, cap=args.cap)
+    cls = classify(model, mss if args.within_mss else None, cap=args.cap)
     doc = ReportDocument(f"analysis of model {model.name}")
     doc.add("model", _model_table(model))
     doc.add("minimal sufficient partition", [format_partition(mss, labels)])
@@ -162,19 +163,14 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
             "{" + ",".join(labels[i] for i in sorted(e)) + "}" for e in atoms
         ),
     ])
-    witness_lines = []
-    stable_set = set(cls.stable)
-    for u in cls.ancillaries:
-        if u in stable_set:
-            continue
-        w = instability_witness(model, u, cap=args.cap, within=within)
-        witness_lines.append(
-            f"{format_partition(u, labels)}: reweight "
-            f"{format_partition(w.via, labels)} by {fmt_vector(w.weights)}; "
-            f"block {{{','.join(labels[i] for i in u.blocks[w.block])}}} gets "
-            f"{fmt_q(w.lr[0])} under {model.theta_labels[w.thetas[0]]} vs "
-            f"{fmt_q(w.lr[1])} under {model.theta_labels[w.thetas[1]]}"
-        )
+    witness_lines = [
+        f"{format_partition(w.unstable, labels)}: reweight "
+        f"{format_partition(w.via, labels)} by {fmt_vector(w.weights)}; "
+        f"block {{{','.join(labels[i] for i in w.unstable.blocks[w.block])}}} gets "
+        f"{fmt_q(w.lr[0])} under {model.theta_labels[w.thetas[0]]} vs "
+        f"{fmt_q(w.lr[1])} under {model.theta_labels[w.thetas[1]]}"
+        for w in cls.witnesses
+    ]
     doc.add("instability witnesses (one per non-stable ancillary)",
             witness_lines or ["none; every ancillary is stable"])
     return doc, 0

@@ -313,7 +313,7 @@ def parse_model(text: str) -> FiniteModel:
             lines.append(line)
     if len(lines) < 4:
         raise ModelFormatError("model text needs a header and at least one row")
-    if not lines[0].startswith("model"):
+    if lines[0].split()[0] != "model":
         raise ModelFormatError("first line must be 'model <name>'")
     name = lines[0][len("model"):].strip() or "model"
     head_t = lines[1].split()
@@ -323,6 +323,10 @@ def parse_model(text: str) -> FiniteModel:
     if head_s[:1] != ["samples"] or len(head_s) < 2:
         raise ModelFormatError("third line must be 'samples <label> ...'")
     thetas, samples = head_t[1:], head_s[1:]
+    # Such labels would make rendered partitions (a,b|c) and events ({a,b}) ambiguous.
+    for lab in thetas + samples:
+        if any(ch in lab for ch in ",|{}"):
+            raise ModelFormatError(f"label {lab!r} contains one of , | {{ }}")
     rows: dict[str, list[Fraction]] = {}
     for line in lines[3:]:
         toks = line.split()

@@ -68,6 +68,19 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert main(["analyze", str(tmp_path / "missing.model")]) == 2
 
+    def test_non_utf8_model_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.model"
+        path.write_bytes(b"\xff\xfe" + "model m\n".encode("utf-16-le"))
+        assert main(["analyze", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_labels_with_partition_syntax_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "labels.model"
+        path.write_text("model m\nthetas a b\nsamples 1,2 3|4 5\n"
+                        "a 1/3 1/3 1/3\nb 1/6 1/2 1/3\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "label" in capsys.readouterr().err
+
     def test_large_model_with_small_mss_analyzes_within(self, tmp_path, ex1, capsys):
         # 14 points: the first seven halve the two-maximal example, the rest
         # are exchangeable padding that collapses into one sufficiency class,
@@ -103,6 +116,41 @@ class TestEvidence:
         out = capsys.readouterr().out
         assert "{1}" in out and "{4}" in out
         assert "5/12" in out
+
+    def test_pushforward_brace_labels_still_render(self, tmp_path, capsys):
+        # Model files may not use {, }, ',' or '|' in labels, but the
+        # minimal sufficient pushforward names its points {a,b} by design.
+        path = tmp_path / "braces.model"
+        path.write_text("model braces\nthetas a b\nsamples 1 2 3 4\n"
+                        "a 1/8 1/8 1/4 1/2\nb 1/16 1/16 3/8 1/2\n")
+        assert main(["evidence", str(path), "--observed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("""
+block  signature
+-----  ----------
+{1,2}  (2/3, 1/3)
+{3}    (2/5, 3/5)
+{4}    (1/2, 1/2)
+
+laminal contour (conditioning event)
+------------------------------------
+{1,2,3}
+
+evidence model
+--------------
+x  {1,2}  {3}
+-  -----  ---
+a  1/2    1/2
+b  1/4    3/4
+
+observed block
+--------------
+{1,2}
+
+idempotence check (double reduction is a fixed point)
+-----------------------------------------------------
+PASS
+""")
 
     def test_unknown_observed_label(self, ex1_file, capsys):
         assert main(["evidence", ex1_file, "--observed", "9"]) == 2

@@ -198,6 +198,10 @@ b 1/4 3/4
         assert m.name == "demo"
         assert m.probs[1] == (F(1, 4), F(3, 4))
 
+    def test_header_keyword_must_stand_alone(self):
+        assert L.parse_model("model\tdemo x\nthetas a\nsamples 1\na 1\n").name == "demo x"
+        assert L.parse_model("model\nthetas a\nsamples 1\na 1\n").name == "model"
+
     def test_rows_in_any_order(self):
         text = "model m\nthetas a b\nsamples 1 2\nb 1/4 3/4\na 1/2 1/2\n"
         m = L.parse_model(text)
@@ -212,6 +216,11 @@ b 1/4 3/4
         ("model m\nthetas a\nsamples 1 2\na 1/2 1/3\n", L.RowSumError),
         ("model m\nthetas a b\nsamples 1 2\na 1 0\nb 1 0\n", L.DeadSamplePoint),
         ("model m\nthetas a\nsamples 1 1\na 1/2 1/2\n", L.DuplicateLabel),
+        ("modelfoo\nthetas a\nsamples 1 2\na 1/2 1/2\n", L.ModelFormatError),
+        ("model m\nthetas a\nsamples 1,2 3\na 1/2 1/2\n", L.ModelFormatError),
+        ("model m\nthetas a\nsamples 1|2 3\na 1/2 1/2\n", L.ModelFormatError),
+        ("model m\nthetas a\nsamples {1} 2\na 1/2 1/2\n", L.ModelFormatError),
+        ("model m\nthetas a}\nsamples 1 2\na} 1/2 1/2\n", L.ModelFormatError),
     ])
     def test_parse_rejections(self, bad, err):
         with pytest.raises(err):
