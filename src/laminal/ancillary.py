@@ -8,6 +8,11 @@ every maximal), and their maximum, the laminal ancillary.
 Every answer is read from one table per call: the zero-sum events (equal
 probability under every theta), found by a 2^n integer scan.  Ancillaries
 are the covers of the sample space by disjoint nonempty zero-sum events.
+The maximal ones are the covers by atoms, the minimal nonempty zero-sum
+events: a block B holding a smaller nonempty zero-sum event S splits into
+S and B - S, both zero-sum, so a cover with a non-atom block is strictly
+refined; and a cover by atoms cannot be, because any refinement would
+split some atom into smaller nonempty zero-sum events.
 With ``within`` the table is that of the pushforward model on the blocks
 of ``within``, and answers are lifted back to the sample space.
 
@@ -170,8 +175,15 @@ class _Lattice:
 
     @cached_property
     def maximal(self) -> tuple[Partition, ...]:
-        anc = self.ancillaries
-        return tuple(p for p in anc if not any(q != p and is_coarsening(p, q) for q in anc))
+        # Atom rule (see the module docstring): maximals are exactly the
+        # covers by atoms.  Scanned by popcount, an event is an atom when it
+        # contains no atom already found.
+        atoms: list[int] = []
+        for z in sorted(self.zero - {0}, key=int.bit_count):
+            if not any(a & z == a for a in atoms):
+                atoms.append(z)
+        found = set(atoms)
+        return tuple(p for p in self.ancillaries if found.issuperset(self._blocks[p]))
 
     @cached_property
     def minimal(self) -> tuple[Partition, ...]:

@@ -50,6 +50,16 @@ class Partition:
         self._block_of = tuple(block_of)
 
     @classmethod
+    def _canonical(
+        cls, n: int, blocks: tuple[tuple[int, ...], ...], block_of: tuple[int, ...]
+    ) -> "Partition":
+        # Trusted constructor: ``blocks`` must already be canonical and
+        # ``block_of`` consistent with them; nothing is checked.
+        p = object.__new__(cls)
+        p.n, p.blocks, p._block_of = n, blocks, block_of
+        return p
+
+    @classmethod
     def singletons(cls, n: int) -> "Partition":
         return cls(((i,) for i in range(n)), n)
 
@@ -163,22 +173,6 @@ def coarsen(base: Partition, grouping: Partition) -> Partition:
     return Partition(blocks, base.n)
 
 
-def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    # Restricted growth strings a with a[0] = 0 and a[i] <= 1 + max(a[:i]),
-    # in lexicographic order; each string encodes one set partition.
-    a = [0] * n
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, mx if v <= mx else v)
-
-    return rec(1, 0)
-
-
 def enumerate_partitions(
     n: int,
     coarser_than: Partition | None = None,
@@ -191,26 +185,46 @@ def enumerate_partitions(
     enumerating partitions of its block set and expanding, so the effective
     size is its block count.  Raises SizeCapExceeded when the effective size
     exceeds ``cap``.
+
+    The growth string assigns base block i to group a[i], and each group is
+    built as the string grows.  A group opens with the base block of least
+    minimum among its members, and base blocks come in order of their
+    minima, so the yielded partitions are canonical by construction and
+    skip the sorting and validation of the ``Partition`` constructor.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if coarser_than is not None and coarser_than.n != n:
         raise GroundSetMismatch("coarser_than has a different ground set")
-    size = n if coarser_than is None else coarser_than.n_blocks
+    base = Partition.singletons(n) if coarser_than is None else coarser_than
+    size = base.n_blocks
     if size > cap:
         raise SizeCapExceeded(
             f"enumeration over {size} items exceeds the cap of {cap}"
         )
+    # Merged groups are already sorted when every base block is a run of
+    # consecutive points, as the singletons are; otherwise sort them.
+    runs = all(b[-1] - b[0] == len(b) - 1 for b in base.blocks)
+    a = [0] * size
+    groups: list[list[int]] = []
 
-    def gen() -> Iterator[Partition]:
-        if coarser_than is None:
-            for s in _growth_strings(n):
-                yield Partition.from_assignment(s)
-        else:
-            for s in _growth_strings(size):
-                yield coarsen(coarser_than, Partition.from_assignment(s))
+    def rec(i: int) -> Iterator[Partition]:
+        if i == size:
+            blocks = tuple(map(tuple, groups) if runs else map(tuple, map(sorted, groups)))
+            yield Partition._canonical(n, blocks, tuple(map(a.__getitem__, base._block_of)))
+            return
+        b = base.blocks[i]
+        for g, group in enumerate(groups):
+            a[i] = g
+            group.extend(b)
+            yield from rec(i + 1)
+            del group[-len(b):]
+        a[i] = len(groups)
+        groups.append(list(b))
+        yield from rec(i + 1)
+        groups.pop()
 
-    return gen()
+    return rec(0)
 
 
 def format_partition(p: Partition, labels: Sequence[str] | None = None) -> str:

@@ -1,12 +1,14 @@
 """Differential tests: the event-table lattice against the algorithms it replaced.
 
 Each oracle below is a direct transcription of an earlier implementation,
-kept here only as a reference: the Bell(n) enumerate-and-filter search for
-ancillaries, stability decided through conditional models, the witness
-search that builds a ``mixture_model`` per point mass, and a ``Fraction``
-scan over all subsets for the conforming events.
+kept here only as a reference: the growth-string partition enumerator that
+validates every partition it builds, the Bell(n) enumerate-and-filter
+search for ancillaries, stability decided through conditional models, the
+witness search that builds a ``mixture_model`` per point mass, and a
+``Fraction`` scan over all subsets for the conforming events.
 """
 
+import random
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
@@ -15,11 +17,40 @@ import pytest
 
 import laminal as L
 from laminal.corpus import random_models
+from laminal.partitions import coarsen
+
+from conftest import bp
+
+
+def _growth_strings(n):
+    # Restricted growth strings a with a[0] = 0 and a[i] <= 1 + max(a[:i]),
+    # in lexicographic order; each string encodes one set partition.
+    a = [0] * n
+
+    def rec(i, mx):
+        if i == n:
+            yield tuple(a)
+            return
+        for v in range(mx + 2):
+            a[i] = v
+            yield from rec(i + 1, mx if v <= mx else v)
+
+    return rec(1, 0)
+
+
+def oracle_enumerate_partitions(n, coarser_than=None):
+    """Every partition (or coarsening), rebuilt through the validating constructor."""
+    if coarser_than is None:
+        for s in _growth_strings(n):
+            yield L.Partition.from_assignment(s)
+    else:
+        for s in _growth_strings(coarser_than.n_blocks):
+            yield coarsen(coarser_than, L.Partition.from_assignment(s))
 
 
 def oracle_ancillaries(model, within):
     """Every partition, in enumeration order, filtered by ``is_ancillary``."""
-    return [p for p in L.enumerate_partitions(model.n_samples, within)
+    return [p for p in oracle_enumerate_partitions(model.n_samples, within)
             if L.is_ancillary(model, p)]
 
 
@@ -95,6 +126,33 @@ MODELS = (
     + [(f"random-{seed}-{i}", m)
        for seed in (5, 11) for i, m in enumerate(random_models(seed, 8))]
 )
+
+
+def _random_bases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        yield L.Partition.from_assignment([rng.randrange(min(n, 7)) for _ in range(n)])
+
+
+BASES = ([bp("1,4|2,3|5", 5), bp("1,3,5|2,4|6", 6), bp("1,6|2,5|3,4|7", 7)]
+         + list(_random_bases(50, 3)))
+ENUMERATIONS = [(n, None) for n in range(1, 9)] + [(b.n, b) for b in BASES]
+
+
+@pytest.mark.parametrize("n,base", ENUMERATIONS,
+                         ids=[f"n{n}" if b is None else f"w{i}" for i, (n, b) in enumerate(ENUMERATIONS)])
+def test_enumeration_matches_the_growth_string_oracle(n, base):
+    got = list(L.enumerate_partitions(n, coarser_than=base))
+    want = list(oracle_enumerate_partitions(n, base))
+    assert got == want
+    for p, q in zip(got, want):
+        # The enumerator builds partitions without validation, so check
+        # each one against the validating constructor here.
+        rebuilt = L.Partition(p.blocks, p.n)
+        assert p == rebuilt and hash(p) == hash(rebuilt) == hash(q)
+        assert [p.block_of(e) for e in range(n)] == [q.block_of(e) for e in range(n)]
+        assert all(p.block_of(e) == i for i, b in enumerate(p.blocks) for e in b)
 
 
 @pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])
