@@ -54,6 +54,7 @@ from .evidence import (
     ev_sc_idempotent,
     maximal_conditionals,
     sc_equivalent,
+    sc_reduction,
 )
 from .model import (
     FiniteModel,
@@ -82,10 +83,14 @@ from .partitions import (
 )
 from .sufficiency import (
     EvidenceBase,
+    Obstruction,
+    Reduction,
     Relabeling,
     column_signature,
     ev_ms,
+    match_reductions,
     model_of_statistic,
+    ms_reduction,
     mss_partition,
     s_equivalent,
 )

@@ -29,11 +29,11 @@ from .corpus import audit_corpus
 from .errors import LaminalError, ModelFormatError, SizeCapExceeded
 from .evidence import (
     audit_relation,
+    condition_on_laminal,
     content_hash,
-    ev_sc,
     ev_sc_idempotent,
     maximal_conditionals,
-    sc_equivalent,
+    sc_reduction,
 )
 from .model import (
     FiniteModel,
@@ -47,11 +47,12 @@ from .model import (
 from .partitions import DEFAULT_ENUMERATION_CAP, format_partition, parse_partition
 from .report import ReportDocument, csv_text, fmt_decimal, fmt_q, fmt_vector, table_lines
 from .sufficiency import (
+    Obstruction,
+    _require_same_thetas,
     column_signature,
-    ev_ms,
-    model_of_statistic,
+    match_reductions,
+    ms_reduction,
     mss_partition,
-    s_equivalent,
 )
 
 # ---------------------------------------------------------------------------
@@ -187,10 +188,10 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
     doc = ReportDocument(
         f"evidence ({args.function}) for model {model.name}, observed {args.observed}"
     )
-    mss = mss_partition(model)
-    pushed = model_of_statistic(model, mss)
+    reduced = ms_reduction(ib)
+    pushed = reduced.model
     doc.add("minimal sufficient partition", [
-        format_partition(mss, model.sample_labels),
+        format_partition(reduced.mss, model.sample_labels),
         "block signatures (normalized probability vectors):",
         *table_lines(
             ["block", "signature"],
@@ -199,9 +200,9 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
         ),
     ])
     if args.function == "ms":
-        eb = ev_ms(ib)
+        eb = reduced.evidence()
     else:
-        eb = ev_sc(ib, cap=args.cap)
+        eb = condition_on_laminal(reduced, cap=args.cap).evidence()
         doc.add("laminal contour (conditioning event)", [
             "{" + ",".join(model.sample_labels[i] for i in sorted(eb.conditioning_block)) + "}",
         ])
@@ -218,36 +219,6 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
 # ---------------------------------------------------------------------------
 
 
-def _first_s_obstruction(ib1: InferenceBase, ib2: InferenceBase) -> str:
-    e1, e2 = ev_ms(ib1), ev_ms(ib2)
-    if len(e1.space) != len(e2.space):
-        return (f"minimal sufficient spaces differ in size "
-                f"({len(e1.space)} vs {len(e2.space)})")
-    v1 = e1.model.column(e1.observed_block)
-    v2 = e2.model.column(e2.observed_block)
-    if v1 != v2:
-        return (f"observed blocks have different probability vectors "
-                f"({fmt_vector(v1)} vs {fmt_vector(v2)})")
-    return "block probability vectors do not match as multisets"
-
-
-def _first_sc_obstruction(ib1, ib2, cap) -> str:
-    e1, e2 = ev_sc(ib1, cap), ev_sc(ib2, cap)
-    k1 = len(mss_partition(ib1.model).blocks)
-    k2 = len(mss_partition(ib2.model).blocks)
-    if k1 != k2:
-        return f"minimal sufficient spaces differ in size ({k1} vs {k2})"
-    if len(e1.space) != len(e2.space):
-        return (f"laminal contours differ in size "
-                f"({len(e1.space)} vs {len(e2.space)})")
-    v1 = e1.model.column(e1.observed_block)
-    v2 = e2.model.column(e2.observed_block)
-    if v1 != v2:
-        return (f"observed blocks have different conditional vectors "
-                f"({fmt_vector(v1)} vs {fmt_vector(v2)})")
-    return "contour conditional vectors do not match as multisets"
-
-
 def cmd_compare(args) -> tuple[ReportDocument, int]:
     m1 = _load_model(args.model_file_1)
     m2 = _load_model(args.model_file_2)
@@ -257,22 +228,20 @@ def cmd_compare(args) -> tuple[ReportDocument, int]:
         f"compare ({args.relation}): ({m1.name}, {args.observed1}) vs "
         f"({m2.name}, {args.observed2})"
     )
+    _require_same_thetas(ib1, ib2)
     if args.relation == "s":
-        h = s_equivalent(ib1, ib2)
+        r1, r2 = ms_reduction(ib1), ms_reduction(ib2)
     else:
-        h = sc_equivalent(ib1, ib2, cap=args.cap)
-    if h is None:
-        reason = (_first_s_obstruction(ib1, ib2) if args.relation == "s"
-                  else _first_sc_obstruction(ib1, ib2, args.cap))
-        doc.add("verdict", ["NOT-EQUIVALENT", f"obstruction: {reason}"])
+        r1, r2 = sc_reduction(ib1, args.cap), sc_reduction(ib2, args.cap)
+    h = match_reductions(r1, r2)
+    if isinstance(h, Obstruction):
+        doc.add("verdict", ["NOT-EQUIVALENT", f"obstruction: {h.reason}"])
         return doc, 0
-    t1 = mss_partition(m1)
-    t2 = mss_partition(m2)
     rows = []
     for src, dst in enumerate(h.mapping):
         rows.append([
-            "{" + ",".join(m2.sample_labels[i] for i in t2.blocks[src]) + "}",
-            "{" + ",".join(m1.sample_labels[i] for i in t1.blocks[dst]) + "}",
+            "{" + ",".join(m2.sample_labels[i] for i in r2.mss.blocks[src]) + "}",
+            "{" + ",".join(m1.sample_labels[i] for i in r1.mss.blocks[dst]) + "}",
         ])
     lines = ["EQUIVALENT",
              "identity relabeling" if h.is_identity else "relabeling h:"]

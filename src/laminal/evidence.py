@@ -8,6 +8,10 @@ one.  The output keeps only the observed laminal contour, where no
 further reduction is possible; ``ev_sc_idempotent`` re-verifies this
 fixed-point property by executing both composition orders.
 
+Both steps produce a ``sufficiency.Reduction``; ``match_reductions``
+decides both relations, on the contour here.  Nothing is cached between
+calls: the stable-conditionality audit reduces each base once.
+
 ``audit_relation`` checks reflexivity, symmetry and transitivity of the
 sufficiency relation, the stable-conditionality relation, and (as a
 counterexample target only) the classical conditioning relation that
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .ancillary import laminal, maximal_ancillaries
 from .errors import NotSCEquivalent, ThetaSpaceMismatch
@@ -28,26 +31,34 @@ from .model import InferenceBase, condition_on_event, event_support, format_mode
 from .partitions import DEFAULT_ENUMERATION_CAP
 from .sufficiency import (
     EvidenceBase,
+    Obstruction,
+    Reduction,
     Relabeling,
-    _match_groups,
     _require_same_thetas,
     ev_ms,
-    model_of_statistic,
-    mss_partition,
+    match_reductions,
+    ms_reduction,
     s_equivalent,
 )
 
 
-@lru_cache(maxsize=512)
-def _sc_parts(ib: InferenceBase, cap: int):
-    """Shared ingredients: mss, pushforward, laminal, observed contour."""
-    t = mss_partition(ib.model)
-    pushed = model_of_statistic(ib.model, t)
-    lam = laminal(pushed, None, cap)
-    t_obs = t.block_of(ib.observed)
-    contour = lam.blocks[lam.block_of(t_obs)]
-    conditional = condition_on_event(pushed, contour)
-    return t, pushed, lam, t_obs, contour, conditional
+def condition_on_laminal(r: Reduction, cap: int = DEFAULT_ENUMERATION_CAP) -> Reduction:
+    """Condition a minimal sufficient reduction on its laminal ancillary.
+
+    The space shrinks to the observed laminal contour: the mss blocks that
+    share the observed laminal value, carrying the conditional model given
+    that value.
+    """
+    lam = laminal(r.model, None, cap)
+    contour = lam.blocks[lam.block_of(r.observed)]
+    return Reduction(
+        r.mss, contour, condition_on_event(r.model, contour), r.observed, "sc"
+    )
+
+
+def sc_reduction(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> Reduction:
+    """The stable-conditional reduction of an inference base."""
+    return condition_on_laminal(ms_reduction(ib), cap)
 
 
 def ev_sc(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> EvidenceBase:
@@ -57,15 +68,7 @@ def ev_sc(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> EvidenceBase
     sufficient blocks sharing the observed laminal value, carrying the
     conditional model given that value.
     """
-    t, _, _, t_obs, contour, conditional = _sc_parts(ib, cap)
-    space = tuple(t.blocks[i] for i in contour)
-    covered = frozenset(e for i in contour for e in t.blocks[i])
-    return EvidenceBase(
-        space=space,
-        model=conditional,
-        observed_block=contour.index(t_obs),
-        conditioning_block=covered,
-    )
+    return sc_reduction(ib, cap).evidence()
 
 
 def sc_equivalent(
@@ -76,37 +79,12 @@ def sc_equivalent(
     Requires minimal sufficient spaces of equal size and a bijection whose
     restriction maps the second observed contour onto the first with
     exactly matching conditional probability vectors and matching observed
-    blocks.  Off the contour the bijection is completed deterministically
-    in ascending index order (the relation only constrains it on the
-    contour).
+    blocks; ``match_reductions`` builds the canonical witness.  The
+    parameter labels are compared before either base is reduced.
     """
     _require_same_thetas(ib1, ib2)
-    t1, _, _, o1, contour1, cond1 = _sc_parts(ib1, cap)
-    t2, _, _, o2, contour2, cond2 = _sc_parts(ib2, cap)
-    if t1.n_blocks != t2.n_blocks:
-        return None
-    if len(contour1) != len(contour2):
-        return None
-    vec1 = {t: cond1.column(i) for i, t in enumerate(contour1)}
-    vec2 = {t: cond2.column(i) for i, t in enumerate(contour2)}
-    if vec1[o1] != vec2[o2]:
-        return None
-    rest1 = [t for t in contour1 if t != o1]
-    rest2 = [t for t in contour2 if t != o2]
-    pairs = _match_groups(
-        [vec1[t] for t in rest1], rest1, [vec2[t] for t in rest2], rest2
-    )
-    if pairs is None:
-        return None
-    mapping = [-1] * t2.n_blocks
-    mapping[o2] = o1
-    for src, dst in pairs:
-        mapping[src] = dst
-    off1 = [t for t in range(t1.n_blocks) if t not in set(contour1)]
-    off2 = [t for t in range(t2.n_blocks) if t not in set(contour2)]
-    for src, dst in zip(off2, off1):
-        mapping[src] = dst
-    return Relabeling(tuple(mapping))
+    verdict = match_reductions(sc_reduction(ib1, cap), sc_reduction(ib2, cap))
+    return verdict if isinstance(verdict, Relabeling) else None
 
 
 def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
@@ -134,9 +112,11 @@ def conditional_bases_s_equivalent(
 
     Only defined for pairs already equivalent under stable conditionality.
     """
-    if sc_equivalent(ib1, ib2, cap) is None:
+    _require_same_thetas(ib1, ib2)
+    r1, r2 = sc_reduction(ib1, cap), sc_reduction(ib2, cap)
+    if isinstance(match_reductions(r1, r2), Obstruction):
         raise NotSCEquivalent("the pair is not equivalent under stable conditionality")
-    e1, e2 = ev_sc(ib1, cap), ev_sc(ib2, cap)
+    e1, e2 = r1.evidence(), r2.evidence()
     return s_equivalent(e1.as_inference_base(), e2.as_inference_base()) is not None
 
 
@@ -200,17 +180,10 @@ class RelationAuditReport:
         )
 
 
-def _s_related(ib1, ib2, cap) -> bool:
+def _s_related(ib1, ib2) -> bool:
     # Bases over different parameter spaces are simply unrelated.
     try:
         return s_equivalent(ib1, ib2) is not None
-    except ThetaSpaceMismatch:
-        return False
-
-
-def _sc_related(ib1, ib2, cap) -> bool:
-    try:
-        return sc_equivalent(ib1, ib2, cap) is not None
     except ThetaSpaceMismatch:
         return False
 
@@ -227,15 +200,18 @@ def audit_relation(
     as the reflexive-symmetric closure of the one-step conditioning relation,
     so its expected failure mode is transitivity).  For ``"sc"`` every pair
     is also checked for the sufficiency-implies-stable-conditionality
-    containment.
+    containment.  Each base is reduced once for ``"sc"``; a pair over
+    different parameter labels is unrelated.
     """
     k = len(corpus)
-    if relation in ("s", "sc"):
-        test = _s_related if relation == "s" else _sc_related
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    if relation == "s":
+        related = {(i, j): _s_related(corpus[i], corpus[j]) for i, j in pairs}
+    elif relation == "sc":
+        reduced = [sc_reduction(ib, cap) for ib in corpus]
         related = {
-            (i, j): test(corpus[i], corpus[j], cap)
-            for i in range(k)
-            for j in range(k)
+            (i, j): isinstance(match_reductions(reduced[i], reduced[j]), Relabeling)
+            for i, j in pairs
         }
     elif relation == "c":
         sigs = [_base_signature(ib) for ib in corpus]
@@ -244,26 +220,19 @@ def audit_relation(
             for ib in corpus
         ]
         related = {
-            (i, j): sigs[i] == sigs[j]
-            or sigs[j] in conds[i]
-            or sigs[i] in conds[j]
-            for i in range(k)
-            for j in range(k)
+            (i, j): sigs[i] == sigs[j] or sigs[j] in conds[i] or sigs[i] in conds[j]
+            for i, j in pairs
         }
     else:
         raise ValueError(f"unknown relation {relation!r}")
 
     reflexive = tuple((i,) for i in range(k) if not related[(i, i)])
     symmetric = tuple(
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if i != j and related[(i, j)] and not related[(j, i)]
+        (i, j) for i, j in pairs if i != j and related[(i, j)] and not related[(j, i)]
     )
     transitive = tuple(
         (i, j, l)
-        for i in range(k)
-        for j in range(k)
+        for i, j in pairs
         for l in range(k)
         if len({i, j, l}) == 3
         and related[(i, j)]
@@ -273,7 +242,7 @@ def audit_relation(
     containment = ()
     if relation == "sc":
         containment = tuple(
-            ((i, j), _s_related(corpus[i], corpus[j], cap), related[(i, j)])
+            ((i, j), _s_related(corpus[i], corpus[j]), related[(i, j)])
             for i in range(k)
             for j in range(i + 1, k)
         )

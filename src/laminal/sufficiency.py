@@ -7,21 +7,23 @@ their own (positive) sum, which avoids singling out a reference theta row
 and gives the same grouping wherever a reference row exists.
 
 The evidence function ``ev_ms`` reduces an inference base to the
-pushforward model on those classes plus the observed class.  Equivalence
-of two inference bases under the sufficiency relation is decided by
-searching for a block relabeling that matches the pushforward models and
-the observed blocks exactly.
+pushforward model on those classes plus the observed class, through a
+``Reduction`` record in mss-block indices.  ``match_reductions`` compares
+two such records, for sufficiency here and for stable conditionality in
+``evidence``: it returns the block relabeling that matches the derived
+models and the observed blocks exactly, or the ``Obstruction`` that
+prevents one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ThetaSpaceMismatch
 from .model import FiniteModel, InferenceBase, block_probabilities
 from .partitions import Partition
+from .report import fmt_vector
 
 
 def column_signature(model: FiniteModel, j: int) -> tuple[Fraction, ...]:
@@ -106,14 +108,56 @@ class EvidenceBase:
         return InferenceBase(self.model, self.observed_block)
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """An inference base reduced by an evidence function, in mss-block indices.
+
+    ``space`` lists the minimal sufficient blocks still in play (all of them
+    for ``ev_ms``, the observed laminal contour for ``ev_sc``), ``model`` is
+    the derived model over exactly those blocks, in that order, and
+    ``columns`` maps each space block to its column in ``model``.
+    ``relation`` (``"s"`` or ``"sc"``) names the reduction, which sets the
+    wording of an obstruction.
+    """
+
+    mss: Partition
+    space: tuple[int, ...]
+    model: FiniteModel
+    observed: int
+    relation: str
+    columns: dict[int, tuple[Fraction, ...]] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        columns = {t: self.model.column(i) for i, t in enumerate(self.space)}
+        object.__setattr__(self, "columns", columns)
+
+    def evidence(self) -> EvidenceBase:
+        """The evidence base: the space as sample indices, for ``ev_ms``/``ev_sc``."""
+        space = tuple(self.mss.blocks[t] for t in self.space)
+        covered = frozenset(e for block in space for e in block)
+        return EvidenceBase(space, self.model, self.space.index(self.observed),
+                            covered if self.relation == "sc" else None)
+
+
+@dataclass(frozen=True)
+class Obstruction:
+    """Why two reductions are not related: the first check that failed."""
+
+    reason: str
+
+
+def ms_reduction(ib: InferenceBase) -> Reduction:
+    """The minimal sufficient reduction: the pushforward on every mss block."""
+    t = mss_partition(ib.model)
+    return Reduction(
+        t, tuple(range(t.n_blocks)), model_of_statistic(ib.model, t),
+        t.block_of(ib.observed), "s",
+    )
+
+
 def ev_ms(ib: InferenceBase) -> EvidenceBase:
     """Reduce an inference base to its minimal sufficient model and value."""
-    t = mss_partition(ib.model)
-    return EvidenceBase(
-        space=t.blocks,
-        model=model_of_statistic(ib.model, t),
-        observed_block=t.block_of(ib.observed),
-    )
+    return ms_reduction(ib).evidence()
 
 
 def _require_same_thetas(ib1: InferenceBase, ib2: InferenceBase) -> None:
@@ -123,22 +167,50 @@ def _require_same_thetas(ib1: InferenceBase, ib2: InferenceBase) -> None:
         )
 
 
-def _match_groups(
-    vecs1: list[tuple[Fraction, ...]],
-    idx1: list[int],
-    vecs2: list[tuple[Fraction, ...]],
-    idx2: list[int],
-) -> list[tuple[int, int]] | None:
-    """Pair indices with equal vectors, ascending within groups, or None."""
-    if Counter(vecs1) != Counter(vecs2):
-        return None
-    queues: dict[tuple[Fraction, ...], list[int]] = {}
-    for v, i in zip(vecs1, idx1):
-        queues.setdefault(v, []).append(i)
-    pairs = []
-    for v, j in zip(vecs2, idx2):
-        pairs.append((j, queues[v].pop(0)))
-    return pairs
+# How each relation words its vectors: the observed one, then the rest.
+_VECTOR_WORDS = {
+    "s": ("probability", "block probability"),
+    "sc": ("conditional", "contour conditional"),
+}
+
+
+def match_reductions(r1: Reduction, r2: Reduction) -> Relabeling | Obstruction:
+    """The canonical relabeling of the second base's blocks onto the first's.
+
+    Checks run in a fixed order and the first that fails is the
+    obstruction: parameter labels, minimal sufficient size, space size,
+    the observed vector, then the multiset of the remaining vectors.  The
+    witness sends the observed block to the observed block, pairs equal
+    vectors in ascending index order, and completes the blocks off the
+    space in ascending index order (the relation only constrains it on
+    the space).
+    """
+    if r1.model.theta_labels != r2.model.theta_labels:
+        return Obstruction(
+            f"parameter labels differ: {r1.model.theta_labels} vs {r2.model.theta_labels}"
+        )
+    k1, k2 = r1.mss.n_blocks, r2.mss.n_blocks
+    if k1 != k2:
+        return Obstruction(f"minimal sufficient spaces differ in size ({k1} vs {k2})")
+    if len(r1.space) != len(r2.space):
+        return Obstruction(
+            f"laminal contours differ in size ({len(r1.space)} vs {len(r2.space)})"
+        )
+    observed_words, rest_words = _VECTOR_WORDS[r1.relation]
+    v1, v2 = r1.columns[r1.observed], r2.columns[r2.observed]
+    if v1 != v2:
+        return Obstruction(
+            f"observed blocks have different {observed_words} vectors "
+            f"({fmt_vector(v1)} vs {fmt_vector(v2)})"
+        )
+    # Sorting is stable, so equal vectors keep their ascending block order.
+    rest1 = sorted((t for t in r1.space if t != r1.observed), key=r1.columns.get)
+    rest2 = sorted((t for t in r2.space if t != r2.observed), key=r2.columns.get)
+    if [r1.columns[t] for t in rest1] != [r2.columns[t] for t in rest2]:
+        return Obstruction(f"{rest_words} vectors do not match as multisets")
+    src = [r2.observed, *rest2, *(t for t in range(k2) if t not in r2.columns)]
+    dst = [r1.observed, *rest1, *(t for t in range(k1) if t not in r1.columns)]
+    return Relabeling(tuple(d for _, d in sorted(zip(src, dst))))
 
 
 def s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
@@ -146,28 +218,9 @@ def s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
 
     The two minimal sufficient pushforward models must agree exactly under
     a block bijection that also sends the second observed block to the
-    first.  The canonical witness matches the observed blocks first, then
-    pairs equal probability vectors in ascending index order.
+    first; ``match_reductions`` builds the canonical witness.  The
+    parameter labels are compared before either base is reduced.
     """
     _require_same_thetas(ib1, ib2)
-    e1, e2 = ev_ms(ib1), ev_ms(ib2)
-    k = len(e1.space)
-    if len(e2.space) != k:
-        return None
-    vec1 = [e1.model.column(j) for j in range(k)]
-    vec2 = [e2.model.column(j) for j in range(k)]
-    o1, o2 = e1.observed_block, e2.observed_block
-    if vec1[o1] != vec2[o2]:
-        return None
-    rest1 = [j for j in range(k) if j != o1]
-    rest2 = [j for j in range(k) if j != o2]
-    pairs = _match_groups(
-        [vec1[j] for j in rest1], rest1, [vec2[j] for j in rest2], rest2
-    )
-    if pairs is None:
-        return None
-    mapping = [0] * k
-    mapping[o2] = o1
-    for src, dst in pairs:
-        mapping[src] = dst
-    return Relabeling(tuple(mapping))
+    verdict = match_reductions(ms_reduction(ib1), ms_reduction(ib2))
+    return verdict if isinstance(verdict, Relabeling) else None

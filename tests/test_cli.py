@@ -180,6 +180,55 @@ class TestCompare:
                      "--observed2", "1", "--relation", "s"]) == 2
 
 
+# Two generic 2x3 models (no ancillary but the trivial one, so the laminal
+# contour is the whole space) that share their first column and nothing else.
+_SAME_FIRST_COLUMN = (
+    (("1/2", "1/3", "1/6"), ("1/4", "1/4", "1/2")),
+    (("1/2", "1/5", "3/10"), ("1/4", "1/4", "1/2")),
+)
+
+
+@pytest.fixture()
+def model_files(tmp_path, ex1, ex2):
+    models = {"ex1": ex1, "ex2": ex2}
+    for name, rows in zip(("gen_a", "gen_b"), _SAME_FIRST_COLUMN):
+        models[name] = L.build_model(("theta1", "theta2"), ("a", "b", "c"), rows, name)
+    paths = {}
+    for name, model in models.items():
+        paths[name] = tmp_path / f"{name}.model"
+        paths[name].write_text(L.format_model(model))
+    return {name: str(path) for name, path in paths.items()}
+
+
+class TestObstructionReasons:
+    """Every reason ``compare`` can give, pinned word for word."""
+
+    @pytest.mark.parametrize("relation, first, second, reason", [
+        ("s", ("ex1", "1"), ("ex2", "1"),
+         "minimal sufficient spaces differ in size (7 vs 4)"),
+        ("s", ("ex1", "5"), ("ex1", "6"),
+         "observed blocks have different probability vectors "
+         "((1/14, 1/7) vs (1/7, 1/14))"),
+        ("s", ("gen_a", "a"), ("gen_b", "a"),
+         "block probability vectors do not match as multisets"),
+        ("sc", ("ex1", "1"), ("ex2", "1"),
+         "minimal sufficient spaces differ in size (7 vs 4)"),
+        ("sc", ("ex1", "5"), ("ex1", "7"),
+         "laminal contours differ in size (2 vs 1)"),
+        ("sc", ("ex1", "5"), ("ex1", "6"),
+         "observed blocks have different conditional vectors "
+         "((1/3, 2/3) vs (2/3, 1/3))"),
+        ("sc", ("gen_a", "a"), ("gen_b", "a"),
+         "contour conditional vectors do not match as multisets"),
+    ])
+    def test_reason_line(self, model_files, capsys, relation, first, second, reason):
+        assert main(["compare", model_files[first[0]], model_files[second[0]],
+                     "--observed1", first[1], "--observed2", second[1],
+                     "--relation", relation]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["NOT-EQUIVALENT", f"obstruction: {reason}"]
+
+
 class TestReproduce:
     def test_example2_passes(self, capsys):
         assert main(["reproduce", "example2"]) == 0

@@ -4,11 +4,14 @@ Each oracle below is a direct transcription of an earlier implementation,
 kept here only as a reference: the growth-string partition enumerator that
 validates every partition it builds, the Bell(n) enumerate-and-filter
 search for ancillaries, stability decided through conditional models, the
-witness search that builds a ``mixture_model`` per point mass, and a
-``Fraction`` scan over all subsets for the conforming events.
+witness search that builds a ``mixture_model`` per point mass, a
+``Fraction`` scan over all subsets for the conforming events, and the two
+per-relation equivalence deciders with the command line's separate search
+for the obstruction reason.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
@@ -16,8 +19,20 @@ from itertools import combinations
 import pytest
 
 import laminal as L
-from laminal.corpus import random_models
+from laminal import (
+    DEFAULT_ENUMERATION_CAP,
+    EvidenceBase,
+    InferenceBase,
+    Relabeling,
+    ThetaSpaceMismatch,
+    condition_on_event,
+    laminal,
+    model_of_statistic,
+    mss_partition,
+)
+from laminal.corpus import audit_corpus, permuted_copy, random_models
 from laminal.partitions import coarsen
+from laminal.report import fmt_vector
 
 from conftest import bp
 
@@ -208,3 +223,237 @@ def test_witness_outside_the_restricted_lattice_is_rejected(one_theta):
 def test_within_over_another_ground_set_is_rejected(ex2):
     with pytest.raises(L.GroundSetMismatch):
         L.ancillaries(ex2, within=L.Partition.singletons(5))
+
+
+# ---------------------------------------------------------------------------
+# Equivalence: the deciders and obstruction reasons that one matcher replaced.
+# The functions below are verbatim copies of the earlier ``ev_ms``,
+# ``s_equivalent``, ``ev_sc``, ``sc_equivalent``, ``_match_groups`` and the
+# command line's ``_first_s_obstruction``/``_first_sc_obstruction``.
+# ``_sc_parts`` is copied without the content-keyed cache it used to have.
+# ---------------------------------------------------------------------------
+
+
+def _sc_parts(ib: InferenceBase, cap: int):
+    """Shared ingredients: mss, pushforward, laminal, observed contour."""
+    t = mss_partition(ib.model)
+    pushed = model_of_statistic(ib.model, t)
+    lam = laminal(pushed, None, cap)
+    t_obs = t.block_of(ib.observed)
+    contour = lam.blocks[lam.block_of(t_obs)]
+    conditional = condition_on_event(pushed, contour)
+    return t, pushed, lam, t_obs, contour, conditional
+
+
+def ev_ms(ib: InferenceBase) -> EvidenceBase:
+    """Reduce an inference base to its minimal sufficient model and value."""
+    t = mss_partition(ib.model)
+    return EvidenceBase(
+        space=t.blocks,
+        model=model_of_statistic(ib.model, t),
+        observed_block=t.block_of(ib.observed),
+    )
+
+
+def ev_sc(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> EvidenceBase:
+    """Minimal sufficient reduction conditioned on its laminal ancillary.
+
+    The evidence space is the observed laminal contour: the minimal
+    sufficient blocks sharing the observed laminal value, carrying the
+    conditional model given that value.
+    """
+    t, _, _, t_obs, contour, conditional = _sc_parts(ib, cap)
+    space = tuple(t.blocks[i] for i in contour)
+    covered = frozenset(e for i in contour for e in t.blocks[i])
+    return EvidenceBase(
+        space=space,
+        model=conditional,
+        observed_block=contour.index(t_obs),
+        conditioning_block=covered,
+    )
+
+
+def _require_same_thetas(ib1: InferenceBase, ib2: InferenceBase) -> None:
+    if ib1.model.theta_labels != ib2.model.theta_labels:
+        raise ThetaSpaceMismatch(
+            f"parameter labels differ: {ib1.model.theta_labels} vs {ib2.model.theta_labels}"
+        )
+
+
+def _match_groups(
+    vecs1: list[tuple[F, ...]],
+    idx1: list[int],
+    vecs2: list[tuple[F, ...]],
+    idx2: list[int],
+) -> list[tuple[int, int]] | None:
+    """Pair indices with equal vectors, ascending within groups, or None."""
+    if Counter(vecs1) != Counter(vecs2):
+        return None
+    queues: dict[tuple[F, ...], list[int]] = {}
+    for v, i in zip(vecs1, idx1):
+        queues.setdefault(v, []).append(i)
+    pairs = []
+    for v, j in zip(vecs2, idx2):
+        pairs.append((j, queues[v].pop(0)))
+    return pairs
+
+
+def s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
+    """Relabeling witnessing sufficiency equivalence, or None.
+
+    The two minimal sufficient pushforward models must agree exactly under
+    a block bijection that also sends the second observed block to the
+    first.  The canonical witness matches the observed blocks first, then
+    pairs equal probability vectors in ascending index order.
+    """
+    _require_same_thetas(ib1, ib2)
+    e1, e2 = ev_ms(ib1), ev_ms(ib2)
+    k = len(e1.space)
+    if len(e2.space) != k:
+        return None
+    vec1 = [e1.model.column(j) for j in range(k)]
+    vec2 = [e2.model.column(j) for j in range(k)]
+    o1, o2 = e1.observed_block, e2.observed_block
+    if vec1[o1] != vec2[o2]:
+        return None
+    rest1 = [j for j in range(k) if j != o1]
+    rest2 = [j for j in range(k) if j != o2]
+    pairs = _match_groups(
+        [vec1[j] for j in rest1], rest1, [vec2[j] for j in rest2], rest2
+    )
+    if pairs is None:
+        return None
+    mapping = [0] * k
+    mapping[o2] = o1
+    for src, dst in pairs:
+        mapping[src] = dst
+    return Relabeling(tuple(mapping))
+
+
+def sc_equivalent(
+    ib1: InferenceBase, ib2: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Relabeling | None:
+    """Relabeling witnessing stable-conditionality equivalence, or None.
+
+    Requires minimal sufficient spaces of equal size and a bijection whose
+    restriction maps the second observed contour onto the first with
+    exactly matching conditional probability vectors and matching observed
+    blocks.  Off the contour the bijection is completed deterministically
+    in ascending index order (the relation only constrains it on the
+    contour).
+    """
+    _require_same_thetas(ib1, ib2)
+    t1, _, _, o1, contour1, cond1 = _sc_parts(ib1, cap)
+    t2, _, _, o2, contour2, cond2 = _sc_parts(ib2, cap)
+    if t1.n_blocks != t2.n_blocks:
+        return None
+    if len(contour1) != len(contour2):
+        return None
+    vec1 = {t: cond1.column(i) for i, t in enumerate(contour1)}
+    vec2 = {t: cond2.column(i) for i, t in enumerate(contour2)}
+    if vec1[o1] != vec2[o2]:
+        return None
+    rest1 = [t for t in contour1 if t != o1]
+    rest2 = [t for t in contour2 if t != o2]
+    pairs = _match_groups(
+        [vec1[t] for t in rest1], rest1, [vec2[t] for t in rest2], rest2
+    )
+    if pairs is None:
+        return None
+    mapping = [-1] * t2.n_blocks
+    mapping[o2] = o1
+    for src, dst in pairs:
+        mapping[src] = dst
+    off1 = [t for t in range(t1.n_blocks) if t not in set(contour1)]
+    off2 = [t for t in range(t2.n_blocks) if t not in set(contour2)]
+    for src, dst in zip(off2, off1):
+        mapping[src] = dst
+    return Relabeling(tuple(mapping))
+
+
+def _first_s_obstruction(ib1: InferenceBase, ib2: InferenceBase) -> str:
+    e1, e2 = ev_ms(ib1), ev_ms(ib2)
+    if len(e1.space) != len(e2.space):
+        return (f"minimal sufficient spaces differ in size "
+                f"({len(e1.space)} vs {len(e2.space)})")
+    v1 = e1.model.column(e1.observed_block)
+    v2 = e2.model.column(e2.observed_block)
+    if v1 != v2:
+        return (f"observed blocks have different probability vectors "
+                f"({fmt_vector(v1)} vs {fmt_vector(v2)})")
+    return "block probability vectors do not match as multisets"
+
+
+def _first_sc_obstruction(ib1, ib2, cap) -> str:
+    e1, e2 = ev_sc(ib1, cap), ev_sc(ib2, cap)
+    k1 = len(mss_partition(ib1.model).blocks)
+    k2 = len(mss_partition(ib2.model).blocks)
+    if k1 != k2:
+        return f"minimal sufficient spaces differ in size ({k1} vs {k2})"
+    if len(e1.space) != len(e2.space):
+        return (f"laminal contours differ in size "
+                f"({len(e1.space)} vs {len(e2.space)})")
+    v1 = e1.model.column(e1.observed_block)
+    v2 = e2.model.column(e2.observed_block)
+    if v1 != v2:
+        return (f"observed blocks have different conditional vectors "
+                f"({fmt_vector(v1)} vs {fmt_vector(v2)})")
+    return "contour conditional vectors do not match as multisets"
+
+
+ORACLES = {
+    "s": (L.ms_reduction, L.s_equivalent, s_equivalent, _first_s_obstruction),
+    "sc": (L.sc_reduction, L.sc_equivalent, sc_equivalent,
+           lambda ib1, ib2: _first_sc_obstruction(ib1, ib2, DEFAULT_ENUMERATION_CAP)),
+}
+
+
+def _multiset_corpus():
+    # Two generic models sharing only their first column reach the last
+    # obstruction; the second pair is related under sc but not under s.
+    # Permuted copies of example1 are related through non-identity maps.
+    rows = [(("1/2", "1/3", "1/6"), ("1/4", "1/4", "1/2")),
+            (("1/2", "1/5", "3/10"), ("1/4", "1/4", "1/2")),
+            (("1/3", "1/3", "1/3"), ("1/6", "1/2", "1/3")),
+            (("1/4", "1/4", "1/2"), ("1/8", "3/8", "1/2"))]
+    models = [L.build_model(("theta1", "theta2"), ("a", "b", "c"), r) for r in rows]
+    ex1 = [InferenceBase(L.example1_model(F(1, 100)), x) for x in range(7)]
+    rng = random.Random(1)
+    return ([InferenceBase(m, x) for m in models for x in range(3)]
+            + ex1 + [permuted_copy(ib, rng) for ib in ex1])
+
+
+CORPORA = {"audit-7-10": audit_corpus(7, 10), "audit-3-6": audit_corpus(3, 6),
+           "multiset": _multiset_corpus()}
+
+
+@pytest.mark.parametrize("relation", ["s", "sc"])
+@pytest.mark.parametrize("corpus_id", list(CORPORA))
+def test_one_matcher_matches_the_per_relation_deciders(corpus_id, relation):
+    reduce_base, decide, oracle_decide, oracle_reason = ORACLES[relation]
+    corpus = CORPORA[corpus_id]
+    reduced = [reduce_base(ib) for ib in corpus]
+    outcomes = Counter()
+    for ib1, r1 in zip(corpus, reduced):
+        for ib2, r2 in zip(corpus, reduced):
+            verdict = L.match_reductions(r1, r2)
+            if ib1.model.theta_labels != ib2.model.theta_labels:
+                for check in (decide, oracle_decide):
+                    with pytest.raises(L.ThetaSpaceMismatch):
+                        check(ib1, ib2)
+                assert isinstance(verdict, L.Obstruction)
+                outcomes["thetas"] += 1
+                continue
+            want = oracle_decide(ib1, ib2)
+            assert decide(ib1, ib2) == want
+            if want is None:
+                assert verdict == L.Obstruction(oracle_reason(ib1, ib2))
+                outcomes[verdict.reason.split(" (")[0]] += 1
+            else:
+                assert verdict.mapping == want.mapping
+                outcomes["identity" if want.is_identity else "relabeled"] += 1
+    # Both kinds of witness and more than one obstruction must be reached.
+    assert outcomes["identity"] and outcomes["relabeled"]
+    assert len(outcomes) >= 4, outcomes
+    if corpus_id == "multiset":
+        assert any(reason.endswith("as multisets") for reason in outcomes)

@@ -41,6 +41,14 @@ class TestEvSc:
         assert eb.space == ((0, 1, 2),)
         assert eb.model.probs == ((F(1),),)
 
+    @pytest.mark.parametrize("names", [("alpha", "beta"), ("beta", "alpha")])
+    def test_equal_content_models_keep_their_own_names(self, ex1, names):
+        # Content equality ignores the name, so a cache keyed on content
+        # would hand the second model the first one's conditional.
+        for name in names:
+            m = L.build_model(ex1.theta_labels, ex1.sample_labels, ex1.probs, name)
+            assert L.ev_sc(L.InferenceBase(m, 4)).model.name == f"{name}_T_cond"
+
     def test_conditional_columns_are_nonproportional(self, ex1, ex2):
         for m in (ex1, ex2):
             for x in range(m.n_samples):
@@ -81,6 +89,20 @@ class TestScEquivalence:
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         with pytest.raises(L.ThetaSpaceMismatch):
             L.sc_equivalent(L.InferenceBase(ex2, 0), L.InferenceBase(other, 0))
+
+    def test_theta_mismatch_is_found_before_the_cap(self, ex1, ex2):
+        # ex1's minimal sufficient space has 7 blocks, over a cap of 2: the
+        # parameter labels must be compared before either base is reduced.
+        other = L.build_model(("p", "q"), ("1", "2"),
+                              [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+        for pair in ((ex1, other), (other, ex1)):
+            ib1, ib2 = (L.InferenceBase(m, 0) for m in pair)
+            with pytest.raises(L.ThetaSpaceMismatch):
+                L.sc_equivalent(ib1, ib2, cap=2)
+            with pytest.raises(L.ThetaSpaceMismatch):
+                L.s_equivalent(ib1, ib2)
+        with pytest.raises(L.SizeCapExceeded):
+            L.sc_equivalent(L.InferenceBase(ex1, 0), L.InferenceBase(ex2, 0), cap=2)
 
     def test_witness_maps_contour_onto_contour(self, sc_not_s_pair):
         ib1, ib2 = sc_not_s_pair

@@ -132,6 +132,33 @@ class TestSEquivalence:
                     assert_s_witness(a, c, hab.compose(hbc))
 
 
+class TestMatchReductions:
+    @staticmethod
+    def _reduction(columns, observed):
+        # Records built by hand: a real reduction never has two equal
+        # columns, so this is the only way to exercise tie-breaking.
+        labels = tuple(str(i + 1) for i in range(len(columns)))
+        rows = [[col[t] for col in columns] for t in range(2)]
+        model = L.build_model(("theta1", "theta2"), labels, rows)
+        n = len(columns)
+        return L.Reduction(L.Partition.singletons(n), tuple(range(n)), model,
+                           observed, "s")
+
+    def test_equal_vectors_pair_in_ascending_order(self):
+        x, y = (F(1, 4), F(1, 2)), (F(1, 2), F(0))
+        r1 = self._reduction([x, y, x], observed=1)
+        r2 = self._reduction([x, x, y], observed=2)
+        assert L.match_reductions(r1, r2) == L.Relabeling((0, 2, 1))
+
+    def test_parameter_labels_are_an_obstruction(self, ex2):
+        other = L.build_model(("p", "q"), ("1", "2"),
+                              [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+        verdict = L.match_reductions(L.ms_reduction(L.InferenceBase(ex2, 0)),
+                                     L.ms_reduction(L.InferenceBase(other, 0)))
+        assert verdict == L.Obstruction(
+            "parameter labels differ: ('theta1', 'theta2') vs ('p', 'q')")
+
+
 class TestRelabeling:
     def test_bijection_required(self):
         with pytest.raises(ValueError):
