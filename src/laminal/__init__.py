@@ -52,6 +52,7 @@ from .evidence import (
     content_hash,
     ev_sc,
     ev_sc_idempotent,
+    is_ms_reduced,
     maximal_conditionals,
     sc_equivalent,
     sc_reduction,
@@ -75,6 +76,7 @@ from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     enumerate_partitions,
+    format_event,
     format_partition,
     is_coarsening,
     join,

@@ -23,10 +23,10 @@ block B of another ancillary.  P(B) is parameter-free, so that means every
 U & B is zero-sum (U a block of the statistic), and as every zero-sum
 event is a block of some ancillary, a statistic is stable exactly when its
 blocks are conforming: their intersection with every zero-sum event is
-zero-sum.  This U & B lemma is cross-checked on every call against the
-structural characterization (coarsening of every maximal ancillary), and
-``is_strong`` re-derives it from conditional models.  Nothing is kept
-between calls, so all functions are pure.
+zero-sum.  So stability is one set per lattice, checked once against the
+minimal ancillaries (the structural route), and every stability answer
+reads it; ``is_strong`` re-derives it from conditional models.  Nothing
+is kept between calls, so all functions are pure.
 """
 
 from __future__ import annotations
@@ -106,9 +106,8 @@ class _Lattice:
     after the cap that guards it (2^k scan, ancillary search) is checked.
     """
 
-    def __init__(self, model: FiniteModel, within: Partition | None, cap: int,
-                 event_cap: int = EVENT_SCAN_CAP):
-        self.model, self.cap, self.event_cap = model, cap, event_cap
+    def __init__(self, model: FiniteModel, within: Partition | None, cap: int):
+        self.model, self.cap = model, cap
         # A within over another ground set fails in block_probabilities.
         self.within = Partition.singletons(model.n_samples) if within is None else within
         self.k = self.within.n_blocks
@@ -116,9 +115,9 @@ class _Lattice:
     @cached_property
     def zero(self) -> frozenset[int]:
         """Masks of all zero-sum events, the empty and the full one included."""
-        if self.k > self.event_cap:
+        if self.k > EVENT_SCAN_CAP:
             raise SizeCapExceeded(
-                f"2^{self.k} event scan exceeds the cap of 2^{self.event_cap}"
+                f"2^{self.k} event scan exceeds the cap of 2^{EVENT_SCAN_CAP}"
             )
         rows = block_probabilities(self.model, self.within)
         scale = math.lcm(*(v.denominator for row in rows for v in row))
@@ -201,20 +200,22 @@ class _Lattice:
             raise InternalCheckError("a minimal ancillary does not coarsen the laminal")
         return lam
 
+    @cached_property
+    def stable(self) -> tuple[Partition, ...]:
+        # Definitional route: every block is conforming (point masses and the
+        # U & B lemma).  Structural route: the minimal ancillaries.  Raising on
+        # disagreement turns the theory into a check, made once per lattice.
+        stable = tuple(u for u in self.ancillaries if self.conforming.issuperset(self._blocks[u]))
+        if stable != self.minimal:
+            u = next(u for u in self.ancillaries if (u in stable) != (u in self.minimal))
+            raise InternalCheckError(f"stability routes disagree for {u!r}: "
+                                     f"structural={u in self.minimal}, definitional={u in stable}")
+        return stable
+
     def is_stable(self, u: Partition) -> bool:
-        # Definitional route: every block of u is conforming (point masses
-        # and the U & B lemma).  Structural route: u coarsens every maximal
-        # ancillary.  Raising on disagreement turns the theory into a check.
         if u not in self._blocks:
             raise NotAncillary(f"{u!r} is not an ancillary of this lattice")
-        definitional = all(b in self.conforming for b in self._blocks[u])
-        structural = all(is_coarsening(u, w) for w in self.maximal)
-        if structural != definitional:
-            raise InternalCheckError(
-                f"stability routes disagree for {u!r}: "
-                f"structural={structural}, definitional={definitional}"
-            )
-        return structural
+        return u in self.stable
 
     @cached_property
     def _enumeration_order(self) -> list[Partition]:
@@ -293,9 +294,9 @@ def is_stable(
 ) -> bool:
     """True when no reweighting of any other ancillary makes ``u`` informative.
 
-    Computed by both the definitional route (every block of ``u`` is a
-    conforming event) and the structural one (coarsening of every maximal
-    ancillary); the call fails loudly if the two ever disagree.
+    Read from the lattice's one stable set (every block conforming), which
+    is checked to equal the minimal ancillaries; the call fails loudly if
+    the two disagree anywhere in the lattice.
     """
     if ancillary_distribution(model, u) is None:
         raise NotAncillary("stability is only defined for ancillary statistics")
@@ -343,15 +344,13 @@ def instability_witness(
     return _Lattice(model, within, cap).witness(u)
 
 
-def ancillary_events(
-    model: FiniteModel, cap: int = EVENT_SCAN_CAP
-) -> tuple[frozenset[int], ...]:
+def ancillary_events(model: FiniteModel) -> tuple[frozenset[int], ...]:
     """All subsets of the sample space with parameter-free probability.
 
     Scans all 2^n subsets (Gray-code order internally, canonical order in
-    the output), so ``n`` is capped.
+    the output), so ``n`` is capped at ``EVENT_SCAN_CAP``.
     """
-    lat = _Lattice(model, None, DEFAULT_ENUMERATION_CAP, cap)
+    lat = _Lattice(model, None, DEFAULT_ENUMERATION_CAP)
     return _events(lat.within, lat.zero)
 
 
@@ -360,18 +359,14 @@ def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
     return _events(p, range(1 << p.n_blocks))
 
 
-def gamma0(
-    model: FiniteModel,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    event_cap: int = EVENT_SCAN_CAP,
-) -> tuple[frozenset[int], ...]:
+def gamma0(model: FiniteModel, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[frozenset[int], ...]:
     """Ancillary events whose intersection with every ancillary event is ancillary.
 
     The result is re-checked to be an algebra (closed under complement and
     union) and, when ``n`` is within ``cap``, to coincide with the algebra
     generated by the laminal ancillary's blocks.
     """
-    lat = _Lattice(model, None, cap, event_cap)
+    lat = _Lattice(model, None, cap)
     conf = lat.conforming
     full = (1 << lat.k) - 1
     for c in conf:
@@ -424,18 +419,16 @@ def classify(
     from .sufficiency import mss_partition
 
     lat = _Lattice(model, within, cap)
-    stable = tuple(u for u in lat.ancillaries if lat.is_stable(u))
-    if stable != lat.minimal:
-        raise InternalCheckError("stable ancillaries differ from minimal ones")
+    stable = set(lat.stable)
     return AncillaryClassification(
         ancillaries=lat.ancillaries,
         maximal=lat.maximal,
         minimal=lat.minimal,
         laminal=lat.laminal,
-        stable=stable,
+        stable=lat.stable,
         gamma0=gamma0(model, cap),
         restricted_to_mss=within is not None and within == mss_partition(model),
-        witnesses=tuple(w for w in map(lat.witness, lat.ancillaries) if w),
+        witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in stable),
     )
 
 

@@ -32,6 +32,7 @@ from .evidence import (
     condition_on_laminal,
     content_hash,
     ev_sc_idempotent,
+    is_ms_reduced,
     maximal_conditionals,
     sc_reduction,
 )
@@ -44,7 +45,7 @@ from .model import (
     mixture_model,
     parse_model,
 )
-from .partitions import DEFAULT_ENUMERATION_CAP, format_partition, parse_partition
+from .partitions import DEFAULT_ENUMERATION_CAP, format_event, format_partition, parse_partition
 from .report import ReportDocument, csv_text, fmt_decimal, fmt_q, fmt_vector, table_lines
 from .sufficiency import (
     Obstruction,
@@ -160,14 +161,12 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
     atoms = [e for e in cls.gamma0 if e and not any(f and f < e for f in cls.gamma0)]
     doc.add("conforming events (Gamma0)", [
         f"algebra of {len(cls.gamma0)} events",
-        "atoms: " + "; ".join(
-            "{" + ",".join(labels[i] for i in sorted(e)) + "}" for e in atoms
-        ),
+        "atoms: " + "; ".join(format_event(e, labels) for e in atoms),
     ])
     witness_lines = [
         f"{format_partition(w.unstable, labels)}: reweight "
         f"{format_partition(w.via, labels)} by {fmt_vector(w.weights)}; "
-        f"block {{{','.join(labels[i] for i in w.unstable.blocks[w.block])}}} gets "
+        f"block {format_event(w.unstable.blocks[w.block], labels)} gets "
         f"{fmt_q(w.lr[0])} under {model.theta_labels[w.thetas[0]]} vs "
         f"{fmt_q(w.lr[1])} under {model.theta_labels[w.thetas[1]]}"
         for w in cls.witnesses
@@ -201,14 +200,14 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
     ])
     if args.function == "ms":
         eb = reduced.evidence()
+        fixed = is_ms_reduced(eb.as_inference_base())
     else:
         eb = condition_on_laminal(reduced, cap=args.cap).evidence()
-        doc.add("laminal contour (conditioning event)", [
-            "{" + ",".join(model.sample_labels[i] for i in sorted(eb.conditioning_block)) + "}",
-        ])
+        fixed = ev_sc_idempotent(ib, cap=args.cap)
+        doc.add("laminal contour (conditioning event)",
+                [format_event(eb.conditioning_block, model.sample_labels)])
     doc.add("evidence model", _model_table(eb.model))
     doc.add("observed block", [eb.model.sample_labels[eb.observed_block]])
-    fixed = ev_sc_idempotent(ib, cap=args.cap)
     doc.add("idempotence check (double reduction is a fixed point)",
             ["PASS" if fixed else "FAIL"])
     return doc, 0 if fixed else 1
@@ -237,12 +236,11 @@ def cmd_compare(args) -> tuple[ReportDocument, int]:
     if isinstance(h, Obstruction):
         doc.add("verdict", ["NOT-EQUIVALENT", f"obstruction: {h.reason}"])
         return doc, 0
-    rows = []
-    for src, dst in enumerate(h.mapping):
-        rows.append([
-            "{" + ",".join(m2.sample_labels[i] for i in r2.mss.blocks[src]) + "}",
-            "{" + ",".join(m1.sample_labels[i] for i in r1.mss.blocks[dst]) + "}",
-        ])
+    rows = [
+        [format_event(r2.mss.blocks[src], m2.sample_labels),
+         format_event(r1.mss.blocks[dst], m1.sample_labels)]
+        for src, dst in enumerate(h.mapping)
+    ]
     lines = ["EQUIVALENT",
              "identity relabeling" if h.is_identity else "relabeling h:"]
     lines += table_lines(["second-base block", "maps to first-base block"], rows)
@@ -310,7 +308,7 @@ def _reproduce_example2(doc: ReportDocument) -> bool:
         a = parse_partition(part_text, labels)
         got = conditional_mle_table(model, a, block)
         table_ok &= got == want
-        block_label = "{" + ",".join(labels[i] for i in a.blocks[block]) + "}"
+        block_label = format_event(a.blocks[block], labels)
         for t, row in enumerate(got):
             rows.append([f"given {part_text} at {block_label}",
                          model.theta_labels[t]] + [fmt_q(v) for v in row])

@@ -87,6 +87,16 @@ def sc_equivalent(
     return verdict if isinstance(verdict, Relabeling) else None
 
 
+def _base_signature(ib: InferenceBase):
+    # A base up to sample labels: parameter labels, matrix, observed index.
+    return (ib.model.theta_labels, ib.model.probs, ib.observed)
+
+
+def is_ms_reduced(ib: InferenceBase) -> bool:
+    """True when ``ev_ms`` gives ``ib`` back; nothing is enumerated."""
+    return _base_signature(ev_ms(ib).as_inference_base()) == _base_signature(ib)
+
+
 def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Check that the stable-conditional reduction is a fixed point.
 
@@ -95,14 +105,9 @@ def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> b
     agree up to the canonical block identification (same derived model
     matrix over the same parameter labels, same observed position).
     """
-
-    def signature(eb: EvidenceBase):
-        return (eb.model.theta_labels, eb.model.probs, eb.observed_block)
-
-    direct = ev_sc(ib, cap)
-    ms_after = ev_ms(direct.as_inference_base())
-    sc_after = ev_sc(ev_ms(ib).as_inference_base(), cap)
-    return signature(direct) == signature(ms_after) == signature(sc_after)
+    direct = ev_sc(ib, cap).as_inference_base()
+    sc_after = ev_sc(ev_ms(ib).as_inference_base(), cap).as_inference_base()
+    return is_ms_reduced(direct) and _base_signature(sc_after) == _base_signature(direct)
 
 
 def conditional_bases_s_equivalent(
@@ -129,10 +134,6 @@ def content_hash(ib: InferenceBase) -> str:
     """Short stable hash of the model content and observed value."""
     payload = format_model(ib.model) + f"observed {ib.observed_label}\n"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def _base_signature(ib: InferenceBase):
-    return (ib.model.theta_labels, ib.model.probs, ib.observed)
 
 
 def maximal_conditionals(

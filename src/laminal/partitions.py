@@ -234,6 +234,11 @@ def format_partition(p: Partition, labels: Sequence[str] | None = None) -> str:
     return "|".join(",".join(labels[e] for e in b) for b in p.blocks)
 
 
+def format_event(event: Iterable[int], labels: Sequence[str]) -> str:
+    """Render a set of sample indices as a label group: ``{5,6}``."""
+    return "{" + ",".join(labels[e] for e in sorted(event)) + "}"
+
+
 def parse_partition(text: str, labels: Sequence[str]) -> Partition:
     """Parse the ``a,b|c`` block syntax against a label list."""
     index = {lab: i for i, lab in enumerate(labels)}

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ThetaSpaceMismatch
 from .model import FiniteModel, InferenceBase, block_probabilities
-from .partitions import Partition
+from .partitions import Partition, format_event
 from .report import fmt_vector
 
 
@@ -43,9 +43,7 @@ def mss_partition(model: FiniteModel) -> Partition:
 def model_of_statistic(model: FiniteModel, p: Partition) -> FiniteModel:
     """Pushforward model whose sample points are the blocks of ``p``."""
     rows = block_probabilities(model, p)
-    labels = tuple(
-        "{" + ",".join(model.sample_labels[e] for e in b) + "}" for b in p.blocks
-    )
+    labels = tuple(format_event(b, model.sample_labels) for b in p.blocks)
     return FiniteModel(model.theta_labels, labels, rows, f"{model.name}_T")
 
 

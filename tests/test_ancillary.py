@@ -5,6 +5,7 @@ from functools import reduce
 import pytest
 
 import laminal as L
+from laminal.ancillary import _Lattice
 from laminal.corpus import random_models
 
 from conftest import bp
@@ -122,6 +123,25 @@ class TestStability:
             stable = L.is_stable(ex1, u)
             assert stable == L.is_strong(ex1, u)
             assert stable == (u in minimal)
+
+    def test_a_definitional_fault_fails_every_stability_answer(self, ex1, ex1_parts,
+                                                               monkeypatch):
+        # Treat the full event, always conforming, as non-conforming.  Only
+        # the trivial statistic loses its definitional stability, yet the
+        # one per-lattice check fails every stability answer, naming it.
+        real = _Lattice.conforming.func
+        monkeypatch.setattr(_Lattice, "conforming",
+                            property(lambda lat: real(lat) - {(1 << lat.k) - 1}))
+        calls = (
+            lambda: L.classify(ex1),
+            lambda: L.is_stable(ex1, ex1_parts["L"]),
+            lambda: L.is_strong(ex1, ex1_parts["L"]),
+            lambda: L.instability_witness(ex1, ex1_parts["C2"]),
+        )
+        for call in calls:
+            with pytest.raises(L.InternalCheckError,
+                               match=r"disagree for Partition\('0,1,2,3,4,5,6'\)"):
+                call()
 
     def test_point_mass_reduction_extends_to_random_weights(self, ex1):
         # Whenever u stays ancillary in every conditional given a block of v,

@@ -62,6 +62,19 @@ class TestAnalyze:
         path.write_text(L.format_model(m))
         assert main(["analyze", str(path)]) == 3
 
+    def test_search_cap_is_checked_before_the_event_scan(self, tmp_path, capsys):
+        # Past both caps, the cheap search-cap check must fire first, before
+        # the stability check asks for the 2^n event table.
+        n = 21
+        total = n * (n + 1) // 2
+        rows = [[F(i + 1, total) for i in range(n)],
+                [F(n - i, total) for i in range(n)]]
+        path = tmp_path / "wider.model"
+        path.write_text(L.format_model(
+            L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, "wider")))
+        assert main(["analyze", str(path), "--no-within-mss"]) == 3
+        assert capsys.readouterr().err == "error: enumeration over 21 items exceeds the cap of 13\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.model"
         path.write_text("model bad\nthetas a\nsamples 1 2\na 1/2 1/3\n")
@@ -154,6 +167,18 @@ PASS
 
     def test_unknown_observed_label(self, ex1_file, capsys):
         assert main(["evidence", ex1_file, "--observed", "9"]) == 2
+
+    def test_ms_runs_its_own_check_below_any_cap(self, ex1_file, capsys):
+        # The minimal sufficient reduction and its idempotence check
+        # enumerate nothing, so the cap only binds the sc reduction.
+        assert main(["evidence", ex1_file, "--observed", "1",
+                     "--function", "ms", "--cap", "2"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "idempotence check (double reduction is a fixed point)\n"
+            "-----------------------------------------------------\n"
+            "PASS\n")
+        assert main(["evidence", ex1_file, "--observed", "1",
+                     "--function", "sc", "--cap", "2"]) == 3
 
 
 class TestCompare:

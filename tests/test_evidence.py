@@ -127,6 +127,13 @@ class TestIdempotence:
         for x in range(7):
             assert L.ev_sc_idempotent(L.InferenceBase(m, x))
 
+    def test_ms_reduction_is_a_fixed_point(self, ex1, ex2, one_theta):
+        for m in (ex1, ex2, one_theta, L.example1_model(0, allow_degenerate=True)):
+            for x in range(m.n_samples):
+                ib = L.InferenceBase(m, x)
+                assert L.is_ms_reduced(L.ev_ms(ib).as_inference_base())
+                assert L.is_ms_reduced(ib) == (L.mss_partition(m).n_blocks == m.n_samples)
+
 
 class TestConditionalBases:
     def test_self_pair(self, ex1):

@@ -171,6 +171,12 @@ class TestText:
         for text in ("1,2,3,4|5,6|7", "1|2|3|4|5|6|7", "1,2,3,4,5,6,7"):
             assert L.format_partition(L.parse_partition(text, labels), labels) == text
 
+    def test_format_event_lists_points_in_index_order(self):
+        labels = ["a", "b", "c"]
+        assert L.format_event(frozenset({2, 0}), labels) == "{a,c}"
+        assert L.format_event((1,), labels) == "{b}"
+        assert L.format_event((), labels) == "{}"
+
     def test_parse_rejects_unknown_labels_and_non_partitions(self):
         labels = ["1", "2", "3"]
         with pytest.raises(L.UnknownSampleLabel):

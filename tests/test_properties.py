@@ -1,8 +1,10 @@
 """Property tests over drawn integer-row models (``hypothesis``)."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,3 +59,75 @@ def test_maximal_ancillaries_are_the_pairwise_filter(model):
         pairwise = tuple(p for p in anc
                          if not any(q != p and L.is_coarsening(p, q) for q in finest))
         assert L.maximal_ancillaries(model, within) == pairwise
+
+
+FIELDS = ("ancillaries", "maximal", "minimal", "laminal", "stable", "gamma0")
+
+
+def check_theta_order(model, order):
+    """Listing the theta rows in ``order`` changes no lattice answer.
+
+    The zero-sum packing takes row 0 as its reference; any row must do.
+    """
+    moved = L.build_model([model.theta_labels[t] for t in order], model.sample_labels,
+                          [model.probs[t] for t in order], "moved")
+    within = L.mss_partition(model)
+    assert L.mss_partition(moved) == within
+    for w in (None, within):
+        cls, got = L.classify(model, w), L.classify(moved, w)
+        for field in FIELDS:
+            assert getattr(got, field) == getattr(cls, field), field
+        assert ([(x.unstable, x.via, x.weights, x.block) for x in got.witnesses]
+                == [(x.unstable, x.via, x.weights, x.block) for x in cls.witnesses])
+
+
+def check_point_permutation(model, pi):
+    """Moving sample point j to ``pi[j]`` maps every lattice answer through pi."""
+    n = model.n_samples
+    inverse = sorted(range(n), key=pi.__getitem__)
+    moved = L.build_model(model.theta_labels, [model.sample_labels[j] for j in inverse],
+                          [[row[j] for j in inverse] for row in model.probs], "moved")
+
+    def image(p):
+        return L.Partition(([pi[e] for e in b] for b in p.blocks), n)
+
+    within = L.mss_partition(model)
+    assert L.mss_partition(moved) == image(within)
+    for w in (None, within):
+        cls = L.classify(model, w)
+        got = L.classify(moved, None if w is None else image(w))
+        for field in ("ancillaries", "maximal", "minimal", "stable"):
+            assert set(getattr(got, field)) == set(map(image, getattr(cls, field))), field
+        assert got.laminal == image(cls.laminal)
+        assert set(got.gamma0) == {frozenset(pi[e] for e in ev) for ev in cls.gamma0}
+        assert ({x.unstable for x in got.witnesses}
+                == {image(x.unstable) for x in cls.witnesses})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models(), st.data())
+def test_reordering_theta_rows_changes_no_lattice_answer(model, data):
+    check_theta_order(model, data.draw(st.permutations(range(model.n_thetas))))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models(), st.data())
+def test_permuting_sample_points_maps_every_lattice_answer(model, data):
+    check_point_permutation(model, data.draw(st.permutations(range(model.n_samples))))
+
+
+def _crossing_models():
+    # Few drawn models have unstable statistics; these have many.
+    ex2 = L.example2_model()
+    repeated = L.build_model(("t1", "t1b", "t2"), ex2.sample_labels,
+                             [ex2.probs[0], ex2.probs[0], ex2.probs[1]], "repeated")
+    return [L.example1_model(F(1, 100)), L.example1_model(F(1, 224)), ex2, repeated]
+
+
+@pytest.mark.parametrize("model", _crossing_models(), ids=lambda m: m.name)
+def test_both_symmetries_on_models_with_witnesses(model):
+    rng = random.Random(20261018)
+    for order in itertools.permutations(range(model.n_thetas)):
+        check_theta_order(model, order)
+    for _ in range(4):
+        check_point_permutation(model, rng.sample(range(model.n_samples), model.n_samples))
