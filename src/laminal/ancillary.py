@@ -154,11 +154,21 @@ class _Lattice:
         by_lowest: list[list[int]] = [[] for _ in range(self.k)]
         for z in sorted(self.zero - {0}):
             by_lowest[(z & -z).bit_length() - 1].append(z)
+        # Covers come out with blocks in order of their lowest point, as the
+        # blocks of within are; a lifted block needs sorting only when some
+        # block of within is not a run of consecutive points.
+        runs = all(b[-1] - b[0] == len(b) - 1 for b in self.within.blocks)
         n, found = self.model.n_samples, {}
 
         def extend(covered: int, blocks: tuple[int, ...]) -> None:
             if covered == full:
-                found[Partition((_lift(self.within, b) for b in blocks), n)] = blocks
+                lifted = [_lift(self.within, b) for b in blocks]
+                block_of = [0] * n
+                for i, points in enumerate(lifted):
+                    for e in points:
+                        block_of[e] = i
+                parts = tuple(map(tuple, lifted if runs else map(sorted, lifted)))
+                found[Partition._canonical(n, parts, tuple(block_of))] = blocks
                 return
             free = full & ~covered
             for z in by_lowest[(free & -free).bit_length() - 1]:
@@ -359,14 +369,20 @@ def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
     return _events(p, range(1 << p.n_blocks))
 
 
-def gamma0(model: FiniteModel, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[frozenset[int], ...]:
+def gamma0(
+    model: FiniteModel,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    *,
+    _lattice: _Lattice | None = None,
+) -> tuple[frozenset[int], ...]:
     """Ancillary events whose intersection with every ancillary event is ancillary.
 
     The result is re-checked to be an algebra (closed under complement and
     union) and, when ``n`` is within ``cap``, to coincide with the algebra
-    generated by the laminal ancillary's blocks.
+    generated by the laminal ancillary's blocks.  ``_lattice`` lets
+    ``classify`` hand over the sample-space lattice it has already built.
     """
-    lat = _Lattice(model, None, cap)
+    lat = _Lattice(model, None, cap) if _lattice is None else _lattice
     conf = lat.conforming
     full = (1 << lat.k) - 1
     for c in conf:
@@ -414,7 +430,9 @@ def classify(
     that are functions of ``within`` (isomorphic to the ancillary lattice
     of the pushforward model on its blocks), so the stable/minimal identity
     holds in both modes and is verified on every call.  ``gamma0`` is always
-    the event-level scan of the full sample space.
+    the event-level scan of the full sample space: read from this call's
+    own table when ``within`` is the singletons, from a second sample-space
+    table otherwise.
     """
     from .sufficiency import mss_partition
 
@@ -426,7 +444,7 @@ def classify(
         minimal=lat.minimal,
         laminal=lat.laminal,
         stable=lat.stable,
-        gamma0=gamma0(model, cap),
+        gamma0=gamma0(model, cap, _lattice=lat if lat.k == model.n_samples else None),
         restricted_to_mss=within is not None and within == mss_partition(model),
         witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in stable),
     )

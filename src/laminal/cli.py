@@ -15,6 +15,7 @@ inputs, flags and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,10 +29,10 @@ from .ancillary import (
 from .corpus import audit_corpus
 from .errors import LaminalError, ModelFormatError, SizeCapExceeded
 from .evidence import (
+    _is_sc_fixed_point,
     audit_relation,
     condition_on_laminal,
     content_hash,
-    ev_sc_idempotent,
     is_ms_reduced,
     maximal_conditionals,
     sc_reduction,
@@ -203,7 +204,7 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
         fixed = is_ms_reduced(eb.as_inference_base())
     else:
         eb = condition_on_laminal(reduced, cap=args.cap).evidence()
-        fixed = ev_sc_idempotent(ib, cap=args.cap)
+        fixed = _is_sc_fixed_point(ib, eb, args.cap)
         doc.add("laminal contour (conditioning event)",
                 [format_event(eb.conditioning_block, model.sample_labels)])
     doc.add("evidence model", _model_table(eb.model))
@@ -455,7 +456,10 @@ def cmd_audit(args) -> tuple[ReportDocument, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call to main and reused by every later call in the
+    # process; parse_args keeps nothing between calls.
     parser = argparse.ArgumentParser(
         prog="laminal",
         description="Exact ancillarity structure and evidence analysis of "

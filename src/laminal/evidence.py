@@ -97,6 +97,14 @@ def is_ms_reduced(ib: InferenceBase) -> bool:
     return _base_signature(ev_ms(ib).as_inference_base()) == _base_signature(ib)
 
 
+def _is_sc_fixed_point(ib: InferenceBase, sc: EvidenceBase, cap: int) -> bool:
+    # ``sc`` is ev_sc(ib), however the caller came by it; the second order
+    # reduces ib again from scratch.
+    direct = sc.as_inference_base()
+    sc_after = ev_sc(ev_ms(ib).as_inference_base(), cap).as_inference_base()
+    return is_ms_reduced(direct) and _base_signature(sc_after) == _base_signature(direct)
+
+
 def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Check that the stable-conditional reduction is a fixed point.
 
@@ -105,9 +113,7 @@ def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> b
     agree up to the canonical block identification (same derived model
     matrix over the same parameter labels, same observed position).
     """
-    direct = ev_sc(ib, cap).as_inference_base()
-    sc_after = ev_sc(ev_ms(ib).as_inference_base(), cap).as_inference_base()
-    return is_ms_reduced(direct) and _base_signature(sc_after) == _base_signature(direct)
+    return _is_sc_fixed_point(ib, ev_sc(ib, cap), cap)
 
 
 def conditional_bases_s_equivalent(

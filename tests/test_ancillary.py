@@ -291,6 +291,30 @@ class TestClassify:
         assert len(cls.ancillaries) == 2
         assert cls.laminal == L.Partition.singletons(2)
 
+    def test_gamma0_reads_the_table_of_a_singletons_lattice(self, ex1, monkeypatch):
+        # Over the singletons classify hands its own lattice to gamma0, so
+        # one event table answers both; a coarser within needs a second.
+        calls = []
+
+        def counted(model, within):
+            calls.append(within)
+            return L.block_probabilities(model, within)
+
+        monkeypatch.setattr("laminal.ancillary.block_probabilities", counted)
+        proportional = L.build_model(("a", "b"), ("1", "2", "3", "4"),
+                                     [[F(1, 8), F(1, 8), F(1, 4), F(1, 2)],
+                                      [F(1, 4), F(1, 8), F(1, 2), F(1, 8)]])
+        mss = L.mss_partition(proportional)
+        assert mss == bp("1,3|2|4", 4)
+        for model, within, count in ((ex1, None, 1),
+                                     (ex1, L.mss_partition(ex1), 1),
+                                     (proportional, None, 1),
+                                     (proportional, mss, 2)):
+            calls.clear()
+            cls = L.classify(model, within)
+            assert len(calls) == count
+            assert cls.gamma0 == L.gamma0(model)
+
 
 class TestMle:
     def test_example2_values(self, ex2):

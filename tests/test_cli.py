@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 import laminal as L
-from laminal.cli import main
+from laminal.ancillary import _Lattice
+from laminal.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -179,6 +180,92 @@ PASS
             "PASS\n")
         assert main(["evidence", ex1_file, "--observed", "1",
                      "--function", "sc", "--cap", "2"]) == 3
+
+    def test_sc_check_reads_the_report_reduction(self, ex1_file, capsys, monkeypatch):
+        # One laminal for the report's contour, one for the check's second
+        # order (ev_sc after ev_ms); the first order is the report's own.
+        built = []
+        init = _Lattice.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(_Lattice, "__init__", counted)
+        assert main(["evidence", ex1_file, "--observed", "1", "--function", "sc"]) == 0
+        assert len(built) == 2
+        assert capsys.readouterr().out == """\
+evidence (sc) for model example1, observed 1
+============================================
+
+minimal sufficient partition
+----------------------------
+1|2|3|4|5|6|7
+block signatures (normalized probability vectors):
+block  signature
+-----  ----------------
+{1}    (18/25, 7/25)
+{2}    (46/125, 79/125)
+{3}    (58/149, 91/149)
+{4}    (14/17, 3/17)
+{5}    (1/3, 2/3)
+{6}    (2/3, 1/3)
+{7}    (1/2, 1/2)
+
+laminal contour (conditioning event)
+------------------------------------
+{1,2,3,4}
+
+evidence model
+--------------
+x       {1}     {2}     {3}     {4}
+------  ------  ------  ------  ------
+theta1  27/100  23/100  29/100  21/100
+theta2  21/200  79/200  91/200  9/200
+
+observed block
+--------------
+{1}
+
+idempotence check (double reduction is a fixed point)
+-----------------------------------------------------
+PASS
+"""
+
+
+class TestOneParserPerProcess:
+    def test_reused_parser_answers_as_a_fresh_one(self, ex1_file, ex2_file, capsys):
+        # main builds its parser on the first call and reuses it; an option
+        # set in one call, or a call that fails to parse, must not leak
+        # into the next.
+        calls = [
+            ["analyze", ex1_file, "--no-within-mss"],
+            ["analyze", ex1_file],
+            ["analyze", ex1_file, "--cap", "many"],
+            ["evidence", ex2_file, "--observed", "1"],
+            ["compare", ex1_file, ex1_file, "--observed1", "5", "--observed2", "6"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        _build_parser.cache_clear()
+        reused = [run(argv) for argv in calls]
+        assert _build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, ("exit", 2), 0, 0]
+        assert "(enumerated over all partitions of the sample space)" in reused[0][1]
+        assert "(enumerated over coarsenings of the minimal" in reused[1][1]
+        assert "invalid int value: 'many'" in reused[2][2]
 
 
 class TestCompare:

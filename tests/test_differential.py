@@ -184,11 +184,19 @@ def test_classify_matches_the_replaced_algorithms(model, within_mss):
 
     cls = L.classify(model, within)
     assert cls.ancillaries == tuple(sorted(anc))
+    for p in cls.ancillaries:
+        # The cover search builds partitions without validation, so check
+        # each one against the validating constructor here.
+        rebuilt = L.Partition(p.blocks, p.n)
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert [p.block_of(e) for e in range(p.n)] == [rebuilt.block_of(e) for e in range(p.n)]
     assert cls.maximal == tuple(maxs)
     assert cls.minimal == tuple(mins)
     assert cls.laminal == reduce(lambda p, q: L.join([p, q]), maxs)
     assert cls.stable == tuple(stable)
-    assert cls.gamma0 == oracle_gamma0(model)
+    # Over the singletons classify reads Γ0 from its own lattice, otherwise
+    # from a second one; either way it is gamma0's answer.
+    assert cls.gamma0 == oracle_gamma0(model) == L.gamma0(model)
     assert cls.witnesses == tuple(witnesses)
     by_statistic = {w.unstable: w for w in witnesses}
     # Each call builds its own lattice, so large lattices are sampled evenly.
