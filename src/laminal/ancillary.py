@@ -13,6 +13,8 @@ events: a block B holding a smaller nonempty zero-sum event S splits into
 S and B - S, both zero-sum, so a cover with a non-atom block is strictly
 refined; and a cover by atoms cannot be, because any refinement would
 split some atom into smaller nonempty zero-sum events.
+An event is conforming (see below) when its intersection with each atom
+is zero-sum: every zero-sum event is a disjoint union of atoms.
 With ``within`` the table is that of the pushforward model on the blocks
 of ``within``, and answers are lifted back to the sample space.
 
@@ -137,9 +139,18 @@ class _Lattice:
         return frozenset(found)
 
     @cached_property
+    def atoms(self) -> tuple[int, ...]:
+        # Scanned by popcount, an event is an atom when it holds no atom found.
+        atoms: list[int] = []
+        for z in sorted(self.zero - {0}, key=int.bit_count):
+            if not any(a & z == a for a in atoms):
+                atoms.append(z)
+        return tuple(atoms)
+
+    @cached_property
     def conforming(self) -> frozenset[int]:
         zero = self.zero
-        return frozenset(c for c in zero if all(c & z in zero for z in zero))
+        return frozenset(c for c in zero if all(c & a in zero for a in self.atoms))
 
     @cached_property
     def _blocks(self) -> dict[Partition, tuple[int, ...]]:
@@ -184,15 +195,9 @@ class _Lattice:
 
     @cached_property
     def maximal(self) -> tuple[Partition, ...]:
-        # Atom rule (see the module docstring): maximals are exactly the
-        # covers by atoms.  Scanned by popcount, an event is an atom when it
-        # contains no atom already found.
-        atoms: list[int] = []
-        for z in sorted(self.zero - {0}, key=int.bit_count):
-            if not any(a & z == a for a in atoms):
-                atoms.append(z)
-        found = set(atoms)
-        return tuple(p for p in self.ancillaries if found.issuperset(self._blocks[p]))
+        # Atom rule (see the module docstring): maximals are the covers by atoms.
+        atoms = set(self.atoms)
+        return tuple(p for p in self.ancillaries if atoms.issuperset(self._blocks[p]))
 
     @cached_property
     def minimal(self) -> tuple[Partition, ...]:
@@ -404,9 +409,8 @@ class AncillaryClassification:
 
     All collections are canonically sorted tuples (deduplicated by
     construction), so reports built from them are deterministic.
-    ``restricted_to_mss`` records whether enumeration was restricted to
-    functions of the minimal sufficient partition.  ``witnesses`` holds one
-    instability witness per non-stable ancillary, in ``ancillaries`` order.
+    ``witnesses`` holds one instability witness per non-stable ancillary,
+    in ``ancillaries`` order.
     """
 
     ancillaries: tuple[Partition, ...]
@@ -415,7 +419,6 @@ class AncillaryClassification:
     laminal: Partition
     stable: tuple[Partition, ...]
     gamma0: tuple[frozenset[int], ...]
-    restricted_to_mss: bool
     witnesses: tuple[InstabilityWitness, ...]
 
 
@@ -434,8 +437,6 @@ def classify(
     own table when ``within`` is the singletons, from a second sample-space
     table otherwise.
     """
-    from .sufficiency import mss_partition
-
     lat = _Lattice(model, within, cap)
     stable = set(lat.stable)
     return AncillaryClassification(
@@ -445,7 +446,6 @@ def classify(
         laminal=lat.laminal,
         stable=lat.stable,
         gamma0=gamma0(model, cap, _lattice=lat if lat.k == model.n_samples else None),
-        restricted_to_mss=within is not None and within == mss_partition(model),
         witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in stable),
     )
 

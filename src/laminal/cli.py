@@ -113,6 +113,18 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    return parse
+
+
 def _load_model(path: str) -> FiniteModel:
     try:
         return parse_model(Path(path).read_text(encoding="utf-8"))
@@ -204,7 +216,7 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
         fixed = is_ms_reduced(eb.as_inference_base())
     else:
         eb = condition_on_laminal(reduced, cap=args.cap).evidence()
-        fixed = _is_sc_fixed_point(ib, eb, args.cap)
+        fixed = _is_sc_fixed_point(reduced.evidence(), eb, args.cap)
         doc.add("laminal contour (conditioning event)",
                 [format_event(eb.conditioning_block, model.sample_labels)])
     doc.add("evidence model", _model_table(eb.model))
@@ -468,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+        p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ENUMERATION_CAP,
                        help="enumeration size cap (default %(default)s)")
         p.add_argument("--out", metavar="DIR",
                        help="directory to write report.txt and CSV attachments")
@@ -504,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="relation audit on a seeded corpus")
     p.add_argument("--corpus-seed", type=int, default=1)
-    p.add_argument("--corpus-size", type=int, default=12)
+    p.add_argument("--corpus-size", type=_int_at_least(0), default=12)
     p.add_argument("--relation", choices=("s", "sc", "c"), default="sc")
     common(p)
 
@@ -535,9 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text)
+        (out / "report.txt").write_text(text, encoding="utf-8")
         for name, payload in doc.csv_attachments:
-            (out / name).write_text(payload)
+            (out / name).write_text(payload, encoding="utf-8")
     return code
 
 

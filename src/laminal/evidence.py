@@ -97,11 +97,10 @@ def is_ms_reduced(ib: InferenceBase) -> bool:
     return _base_signature(ev_ms(ib).as_inference_base()) == _base_signature(ib)
 
 
-def _is_sc_fixed_point(ib: InferenceBase, sc: EvidenceBase, cap: int) -> bool:
-    # ``sc`` is ev_sc(ib), however the caller came by it; the second order
-    # reduces ib again from scratch.
+def _is_sc_fixed_point(ms: EvidenceBase, sc: EvidenceBase, cap: int) -> bool:
+    # ``ms``, ``sc`` are ev_ms(ib), ev_sc(ib); the second order reduces ``ms``.
     direct = sc.as_inference_base()
-    sc_after = ev_sc(ev_ms(ib).as_inference_base(), cap).as_inference_base()
+    sc_after = ev_sc(ms.as_inference_base(), cap).as_inference_base()
     return is_ms_reduced(direct) and _base_signature(sc_after) == _base_signature(direct)
 
 
@@ -113,7 +112,8 @@ def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> b
     agree up to the canonical block identification (same derived model
     matrix over the same parameter labels, same observed position).
     """
-    return _is_sc_fixed_point(ib, ev_sc(ib, cap), cap)
+    r = ms_reduction(ib)
+    return _is_sc_fixed_point(r.evidence(), condition_on_laminal(r, cap).evidence(), cap)
 
 
 def conditional_bases_s_equivalent(

@@ -273,9 +273,7 @@ class TestClassify:
         assert set(cls.maximal) == {ex1_parts["A1"], ex1_parts["A2"]}
         assert cls.laminal == ex1_parts["L"]
         assert cls.stable == cls.minimal
-        assert not cls.restricted_to_mss
         within = L.classify(ex1, within=L.mss_partition(ex1))
-        assert within.restricted_to_mss
         assert within.minimal == cls.minimal
 
     def test_example2(self, ex2):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,20 @@ class TestAnalyze:
                         "a 1/3 1/3 1/3\nb 1/6 1/2 1/3\n")
         assert main(["analyze", str(path)]) == 2
         assert "label" in capsys.readouterr().err
+
+    def test_out_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        # Model files are read as UTF-8, so report.txt is written as UTF-8
+        # too, whatever the locale's encoding.
+        path = tmp_path / "theta.model"
+        path.write_text("model m\nthetas a b\nsamples \u03b81 x y\n"
+                        "a 1/2 1/4 1/4\nb 1/4 1/2 1/4\n", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONIOENCODING="utf-8", PYTHONPATH=str(Path(L.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "laminal.cli", "analyze", str(path),
+                              "--out", str(tmp_path / "d")], capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr.decode()
+        assert "\u03b81".encode() in run.stdout
+        assert (tmp_path / "d" / "report.txt").read_bytes() == run.stdout
 
     def test_large_model_with_small_mss_analyzes_within(self, tmp_path, ex1, capsys):
         # 14 points: the first seven halve the two-maximal example, the rest
@@ -231,6 +249,55 @@ idempotence check (double reduction is a fixed point)
 -----------------------------------------------------
 PASS
 """
+
+
+class TestOneMssPerReduction:
+    @pytest.mark.parametrize("argv, count", [
+        (["analyze"], 1),
+        (["analyze", "--no-within-mss"], 1),
+        # The report's reduction, then is_ms_reduced of ev_sc(ib) and the
+        # ev_sc of the report's ev_ms(ib) in the idempotence check.
+        (["evidence", "--observed", "1", "--function", "sc"], 3),
+    ])
+    def test_mss_partition_calls(self, ex1_file, capsys, monkeypatch, argv, count):
+        calls = []
+        original = L.sufficiency.mss_partition
+
+        def counted(model):
+            calls.append(model)
+            return original(model)
+
+        # Every laminal module that binds it, so that no call escapes the count.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "laminal":
+                continue
+            if getattr(module, "mss_partition", None) is original:
+                monkeypatch.setattr(module, "mss_partition", counted)
+        assert main([argv[0], ex1_file, *argv[1:]]) == 0
+        assert len(calls) == count
+
+
+class TestIntegerArguments:
+    def test_out_of_range_values_exit_2_at_parse_time(self, ex1_file, capsys):
+        for argv, message in (
+            (["audit", "--corpus-size", "-3"], "argument --corpus-size: must be at least 0, not -3"),
+            (["analyze", ex1_file, "--cap", "-1"], "argument --cap: must be at least 1, not -1"),
+            (["evidence", ex1_file, "--observed", "1", "--cap", "0"],
+             "argument --cap: must be at least 1, not 0"),
+            (["analyze", ex1_file, "--cap", "many"], "argument --cap: invalid int value: 'many'"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
+
+    def test_smallest_values_still_run(self, ex1_file, capsys):
+        assert main(["audit", "--relation", "s", "--corpus-size", "0"]) == 0
+        assert "on 6 inference bases (seed 1, size 0)" in capsys.readouterr().out
+        assert main(["evidence", ex1_file, "--observed", "1", "--function", "ms",
+                     "--cap", "1"]) == 0
+        assert main(["analyze", ex1_file, "--cap", "1"]) == 3
 
 
 class TestOneParserPerProcess:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laminal as L
+from laminal.ancillary import _Lattice
 
 GRID = st.integers(1, 9)
 
@@ -59,6 +60,17 @@ def test_maximal_ancillaries_are_the_pairwise_filter(model):
         pairwise = tuple(p for p in anc
                          if not any(q != p and L.is_coarsening(p, q) for q in finest))
         assert L.maximal_ancillaries(model, within) == pairwise
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_conforming_events_are_the_pairwise_scan(model):
+    # Oracle: intersect each zero-sum event with every zero-sum event, not
+    # only with the atoms.
+    for within in (None, L.mss_partition(model)):
+        lat = _Lattice(model, within, L.DEFAULT_ENUMERATION_CAP)
+        zero = lat.zero
+        assert lat.conforming == frozenset(c for c in zero if all(c & z in zero for z in zero))
 
 
 FIELDS = ("ancillaries", "maximal", "minimal", "laminal", "stable", "gamma0")
