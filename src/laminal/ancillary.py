@@ -15,6 +15,9 @@ refined; and a cover by atoms cannot be, because any refinement would
 split some atom into smaller nonempty zero-sum events.
 An event is conforming (see below) when its intersection with each atom
 is zero-sum: every zero-sum event is a disjoint union of atoms.
+Every atom is a block of some maximal (its complement splits into atoms),
+so their join, the laminal, is the components of overlapping atoms: it
+needs no search, and where the search runs it is re-checked.
 With ``within`` the table is that of the pushforward model on the blocks
 of ``within``, and answers are lifted back to the sample space.
 
@@ -108,7 +111,8 @@ class _Lattice:
     after the cap that guards it (2^k scan, ancillary search) is checked.
     """
 
-    def __init__(self, model: FiniteModel, within: Partition | None, cap: int):
+    def __init__(self, model: FiniteModel, within: Partition | None,
+                 cap: int = DEFAULT_ENUMERATION_CAP):
         self.model, self.cap = model, cap
         # A within over another ground set fails in block_probabilities.
         self.within = Partition.singletons(model.n_samples) if within is None else within
@@ -201,19 +205,24 @@ class _Lattice:
 
     @cached_property
     def minimal(self) -> tuple[Partition, ...]:
-        maxs = self.maximal
-        return tuple(p for p in self.ancillaries if all(is_coarsening(p, w) for w in maxs))
+        maxs, lam = self.maximal, self.laminal
+        minimal = tuple(p for p in self.ancillaries if all(is_coarsening(p, w) for w in maxs))
+        if join(maxs) != lam:
+            raise InternalCheckError("join of maximal ancillaries is not the laminal")
+        if lam not in minimal:
+            raise InternalCheckError("laminal is not among the minimal ancillaries")
+        if not all(is_coarsening(p, lam) for p in minimal):
+            raise InternalCheckError("a minimal ancillary does not coarsen the laminal")
+        return minimal
 
     @cached_property
     def laminal(self) -> Partition:
-        lam = join(self.maximal)
-        if not is_ancillary(self.model, lam):
-            raise InternalCheckError("join of maximal ancillaries is not ancillary")
-        if lam not in self.minimal:
-            raise InternalCheckError("laminal is not among the minimal ancillaries")
-        if not all(is_coarsening(p, lam) for p in self.minimal):
-            raise InternalCheckError("a minimal ancillary does not coarsen the laminal")
-        return lam
+        parts: list[int] = []
+        for a in self.atoms:  # merge what a overlaps; parts are disjoint, so sum = union
+            parts = [c for c in parts if not c & a] + [a | sum(c for c in parts if c & a)]
+        if any(c not in self.zero for c in parts):
+            raise InternalCheckError("a component of overlapping atoms is not zero-sum")
+        return Partition((_lift(self.within, c) for c in parts), self.model.n_samples)
 
     @cached_property
     def stable(self) -> tuple[Partition, ...]:
@@ -290,18 +299,15 @@ def minimal_ancillaries(
     return _Lattice(model, within, cap).minimal
 
 
-def laminal(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Partition:
+def laminal(model: FiniteModel, within: Partition | None = None) -> Partition:
     """The finest common coarsening of all maximal ancillaries.
 
-    This is the maximum of the minimal ancillaries; both facts are
-    re-checked on every call.  With a unique maximal ancillary the join is
-    that maximal itself.
+    Its blocks are the components of overlapping atoms, so only the 2^n
+    event scan bounds it.  Wherever the ancillaries are searched it is
+    re-checked to be the join of the maximals and the maximum of the
+    minimal ancillaries.
     """
-    return _Lattice(model, within, cap).laminal
+    return _Lattice(model, within).laminal
 
 
 def is_stable(
@@ -365,7 +371,7 @@ def ancillary_events(model: FiniteModel) -> tuple[frozenset[int], ...]:
     Scans all 2^n subsets (Gray-code order internally, canonical order in
     the output), so ``n`` is capped at ``EVENT_SCAN_CAP``.
     """
-    lat = _Lattice(model, None, DEFAULT_ENUMERATION_CAP)
+    lat = _Lattice(model, None)
     return _events(lat.within, lat.zero)
 
 
@@ -374,20 +380,15 @@ def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
     return _events(p, range(1 << p.n_blocks))
 
 
-def gamma0(
-    model: FiniteModel,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    *,
-    _lattice: _Lattice | None = None,
-) -> tuple[frozenset[int], ...]:
+def gamma0(model: FiniteModel, *, _lattice: _Lattice | None = None) -> tuple[frozenset[int], ...]:
     """Ancillary events whose intersection with every ancillary event is ancillary.
 
-    The result is re-checked to be an algebra (closed under complement and
-    union) and, when ``n`` is within ``cap``, to coincide with the algebra
-    generated by the laminal ancillary's blocks.  ``_lattice`` lets
-    ``classify`` hand over the sample-space lattice it has already built.
+    The result is re-checked on every call to be an algebra (closed under
+    complement and union) and to coincide with the algebra generated by
+    the laminal ancillary's blocks.  ``_lattice`` lets ``classify`` hand
+    over the sample-space lattice it has already built.
     """
-    lat = _Lattice(model, None, cap) if _lattice is None else _lattice
+    lat = _Lattice(model, None) if _lattice is None else _lattice
     conf = lat.conforming
     full = (1 << lat.k) - 1
     for c in conf:
@@ -396,10 +397,8 @@ def gamma0(
         if any(c | d not in conf for d in conf):
             raise InternalCheckError("conforming events not closed under union")
     events = _events(lat.within, conf)
-    if lat.k <= cap and set(algebra_generated_by(lat.laminal)) != set(events):
-        raise InternalCheckError(
-            "conforming-event algebra differs from the laminal algebra"
-        )
+    if set(algebra_generated_by(lat.laminal)) != set(events):
+        raise InternalCheckError("conforming-event algebra differs from the laminal algebra")
     return events
 
 
@@ -445,7 +444,7 @@ def classify(
         minimal=lat.minimal,
         laminal=lat.laminal,
         stable=lat.stable,
-        gamma0=gamma0(model, cap, _lattice=lat if lat.k == model.n_samples else None),
+        gamma0=gamma0(model, _lattice=lat if lat.k == model.n_samples else None),
         witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in stable),
     )
 

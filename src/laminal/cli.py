@@ -7,15 +7,16 @@ observed value), ``compare`` (equivalence of two inference bases),
 CSV, diffing them against embedded reference values), and ``audit``
 (relation audits on a seeded corpus).
 
-Exit codes: 0 success / expected outcome, 2 input error, 3 enumeration
-cap exceeded.  Reports are byte-identical across runs for identical
-inputs, flags and seeds.
+Exit codes: 0 success / expected outcome, 2 input error, 3 a size limit
+exceeded (ancillary search or event scan).  Reports are byte-identical
+across runs for identical inputs, flags and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -215,8 +216,8 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
         eb = reduced.evidence()
         fixed = is_ms_reduced(eb.as_inference_base())
     else:
-        eb = condition_on_laminal(reduced, cap=args.cap).evidence()
-        fixed = _is_sc_fixed_point(reduced.evidence(), eb, args.cap)
+        eb = condition_on_laminal(reduced).evidence()
+        fixed = _is_sc_fixed_point(reduced.evidence(), eb)
         doc.add("laminal contour (conditioning event)",
                 [format_event(eb.conditioning_block, model.sample_labels)])
     doc.add("evidence model", _model_table(eb.model))
@@ -244,7 +245,7 @@ def cmd_compare(args) -> tuple[ReportDocument, int]:
     if args.relation == "s":
         r1, r2 = ms_reduction(ib1), ms_reduction(ib2)
     else:
-        r1, r2 = sc_reduction(ib1, args.cap), sc_reduction(ib2, args.cap)
+        r1, r2 = sc_reduction(ib1), sc_reduction(ib2)
     h = match_reductions(r1, r2)
     if isinstance(h, Obstruction):
         doc.add("verdict", ["NOT-EQUIVALENT", f"obstruction: {h.reason}"])
@@ -479,9 +480,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ENUMERATION_CAP,
-                       help="enumeration size cap (default %(default)s)")
+    def common(p, cap=True):
+        if cap:  # only the verbs that search the ancillaries
+            p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ENUMERATION_CAP,
+                           help="enumeration size cap (default %(default)s)")
         p.add_argument("--out", metavar="DIR",
                        help="directory to write report.txt and CSV attachments")
 
@@ -497,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_file")
     p.add_argument("--observed", required=True, metavar="LABEL")
     p.add_argument("--function", choices=("ms", "sc"), default="sc")
-    common(p)
+    common(p, cap=False)
 
     p = sub.add_parser("compare", help="equivalence of two inference bases")
     p.add_argument("model_file_1")
@@ -505,14 +507,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observed1", required=True, metavar="LABEL")
     p.add_argument("--observed2", required=True, metavar="LABEL")
     p.add_argument("--relation", choices=("s", "sc"), default="sc")
-    common(p)
+    common(p, cap=False)
 
     p = sub.add_parser("reproduce", help="regenerate built-in example tables")
     p.add_argument("which", choices=("example1", "example2", "example3", "all"))
     p.add_argument("--epsilon", type=_rational_arg, default=Fraction(1, 100),
                    metavar="a/b")
-    p.add_argument("--out", metavar="DIR",
-                   help="directory to write report.txt and CSV attachments")
+    common(p, cap=False)
 
     p = sub.add_parser("audit", help="relation audit on a seeded corpus")
     p.add_argument("--corpus-seed", type=int, default=1)
@@ -554,7 +555,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    # UTF-8 in and out, as model files are; bad argument bytes stay surrogates.
+    sys.stdout.reconfigure(encoding="utf-8")
+    sys.exit(main([os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ ancillary of that reduced model, i.e. on the unique maximal statistic
 among the stable ancillaries that are functions of the minimal sufficient
 one.  The output keeps only the observed laminal contour, where no
 further reduction is possible; ``ev_sc_idempotent`` re-verifies this
-fixed-point property by executing both composition orders.
+fixed-point property by executing both composition orders.  The laminal
+is read off the atoms, so sc needs the event scan but no ancillary search.
 
 Both steps produce a ``sufficiency.Reduction``; ``match_reductions``
 decides both relations, on the contour here.  Nothing is cached between
@@ -42,38 +43,36 @@ from .sufficiency import (
 )
 
 
-def condition_on_laminal(r: Reduction, cap: int = DEFAULT_ENUMERATION_CAP) -> Reduction:
+def condition_on_laminal(r: Reduction) -> Reduction:
     """Condition a minimal sufficient reduction on its laminal ancillary.
 
     The space shrinks to the observed laminal contour: the mss blocks that
     share the observed laminal value, carrying the conditional model given
     that value.
     """
-    lam = laminal(r.model, None, cap)
+    lam = laminal(r.model)
     contour = lam.blocks[lam.block_of(r.observed)]
     return Reduction(
         r.mss, contour, condition_on_event(r.model, contour), r.observed, "sc"
     )
 
 
-def sc_reduction(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> Reduction:
+def sc_reduction(ib: InferenceBase) -> Reduction:
     """The stable-conditional reduction of an inference base."""
-    return condition_on_laminal(ms_reduction(ib), cap)
+    return condition_on_laminal(ms_reduction(ib))
 
 
-def ev_sc(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> EvidenceBase:
+def ev_sc(ib: InferenceBase) -> EvidenceBase:
     """Minimal sufficient reduction conditioned on its laminal ancillary.
 
     The evidence space is the observed laminal contour: the minimal
     sufficient blocks sharing the observed laminal value, carrying the
     conditional model given that value.
     """
-    return sc_reduction(ib, cap).evidence()
+    return sc_reduction(ib).evidence()
 
 
-def sc_equivalent(
-    ib1: InferenceBase, ib2: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Relabeling | None:
+def sc_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
     """Relabeling witnessing stable-conditionality equivalence, or None.
 
     Requires minimal sufficient spaces of equal size and a bijection whose
@@ -83,7 +82,7 @@ def sc_equivalent(
     parameter labels are compared before either base is reduced.
     """
     _require_same_thetas(ib1, ib2)
-    verdict = match_reductions(sc_reduction(ib1, cap), sc_reduction(ib2, cap))
+    verdict = match_reductions(sc_reduction(ib1), sc_reduction(ib2))
     return verdict if isinstance(verdict, Relabeling) else None
 
 
@@ -97,14 +96,14 @@ def is_ms_reduced(ib: InferenceBase) -> bool:
     return _base_signature(ev_ms(ib).as_inference_base()) == _base_signature(ib)
 
 
-def _is_sc_fixed_point(ms: EvidenceBase, sc: EvidenceBase, cap: int) -> bool:
+def _is_sc_fixed_point(ms: EvidenceBase, sc: EvidenceBase) -> bool:
     # ``ms``, ``sc`` are ev_ms(ib), ev_sc(ib); the second order reduces ``ms``.
     direct = sc.as_inference_base()
-    sc_after = ev_sc(ms.as_inference_base(), cap).as_inference_base()
+    sc_after = ev_sc(ms.as_inference_base()).as_inference_base()
     return is_ms_reduced(direct) and _base_signature(sc_after) == _base_signature(direct)
 
 
-def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def ev_sc_idempotent(ib: InferenceBase) -> bool:
     """Check that the stable-conditional reduction is a fixed point.
 
     Materializes ``ev_sc(ib)``, then re-reduces it with ``ev_ms`` and
@@ -113,18 +112,16 @@ def ev_sc_idempotent(ib: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP) -> b
     matrix over the same parameter labels, same observed position).
     """
     r = ms_reduction(ib)
-    return _is_sc_fixed_point(r.evidence(), condition_on_laminal(r, cap).evidence(), cap)
+    return _is_sc_fixed_point(r.evidence(), condition_on_laminal(r).evidence())
 
 
-def conditional_bases_s_equivalent(
-    ib1: InferenceBase, ib2: InferenceBase, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
+def conditional_bases_s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> bool:
     """Sufficiency equivalence of the two conditioned evidence bases.
 
     Only defined for pairs already equivalent under stable conditionality.
     """
     _require_same_thetas(ib1, ib2)
-    r1, r2 = sc_reduction(ib1, cap), sc_reduction(ib2, cap)
+    r1, r2 = sc_reduction(ib1), sc_reduction(ib2)
     if isinstance(match_reductions(r1, r2), Obstruction):
         raise NotSCEquivalent("the pair is not equivalent under stable conditionality")
     e1, e2 = r1.evidence(), r2.evidence()
@@ -208,14 +205,14 @@ def audit_relation(
     so its expected failure mode is transitivity).  For ``"sc"`` every pair
     is also checked for the sufficiency-implies-stable-conditionality
     containment.  Each base is reduced once for ``"sc"``; a pair over
-    different parameter labels is unrelated.
+    different parameter labels is unrelated.  Only ``"c"`` reads ``cap``.
     """
     k = len(corpus)
     pairs = [(i, j) for i in range(k) for j in range(k)]
     if relation == "s":
         related = {(i, j): _s_related(corpus[i], corpus[j]) for i, j in pairs}
     elif relation == "sc":
-        reduced = [sc_reduction(ib, cap) for ib in corpus]
+        reduced = [sc_reduction(ib) for ib in corpus]
         related = {
             (i, j): isinstance(match_reductions(reduced[i], reduced[j]), Relabeling)
             for i, j in pairs

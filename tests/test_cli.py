@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,18 @@ def ex1_file(tmp_path, ex1):
 def ex2_file(tmp_path, ex2):
     path = tmp_path / "ex2.model"
     path.write_text(L.format_model(ex2))
+    return str(path)
+
+
+def wide_file(tmp_path, n):
+    """A two-theta model on n points whose n likelihood ratios all differ,
+    so its minimal sufficient partition keeps every point apart."""
+    total = n * (n + 1) // 2
+    rows = [[F(i + 1, total) for i in range(n)],
+            [F(n - i, total) for i in range(n)]]
+    path = tmp_path / f"wide{n}.model"
+    path.write_text(L.format_model(
+        L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, f"wide{n}")))
     return str(path)
 
 
@@ -113,6 +126,27 @@ class TestAnalyze:
         assert "\u03b81".encode() in run.stdout
         assert (tmp_path / "d" / "report.txt").read_bytes() == run.stdout
 
+    def test_console_script_speaks_utf8_under_an_ascii_locale(self, tmp_path):
+        # No PYTHONIOENCODING: the console script itself writes UTF-8 and
+        # reads its arguments as UTF-8, as it reads model files.
+        path = tmp_path / "theta.model"
+        path.write_text("model m\nthetas a b\nsamples θ1 x y\n"
+                        "a 1/2 1/4 1/4\nb 1/4 1/2 1/4\n", encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(L.__file__).parents[1]))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "laminal.cli", *argv],
+                                  capture_output=True, env=env)
+
+        run = cli("analyze", str(path), "--out", str(tmp_path / "d"))
+        assert run.returncode == 0, run.stderr.decode()
+        assert (tmp_path / "d" / "report.txt").read_bytes() == run.stdout
+        run = cli("evidence", str(path), "--observed", "θ1")
+        assert run.returncode == 0, run.stderr.decode()
+        assert "observed θ1".encode() in run.stdout
+
     def test_large_model_with_small_mss_analyzes_within(self, tmp_path, ex1, capsys):
         # 14 points: the first seven halve the two-maximal example, the rest
         # are exchangeable padding that collapses into one sufficiency class,
@@ -187,17 +221,47 @@ PASS
     def test_unknown_observed_label(self, ex1_file, capsys):
         assert main(["evidence", ex1_file, "--observed", "9"]) == 2
 
-    def test_ms_runs_its_own_check_below_any_cap(self, ex1_file, capsys):
-        # The minimal sufficient reduction and its idempotence check
-        # enumerate nothing, so the cap only binds the sc reduction.
-        assert main(["evidence", ex1_file, "--observed", "1",
-                     "--function", "ms", "--cap", "2"]) == 0
+    def test_ms_runs_its_own_check_below_any_cap(self, ex1_file, tmp_path, capsys):
+        # The minimal sufficient reduction and its idempotence check scan
+        # nothing; the sc reduction needs the 2^k event scan of the reduced
+        # model, which 21 minimal sufficient blocks exceed.
+        assert main(["evidence", ex1_file, "--observed", "1", "--function", "ms"]) == 0
         assert capsys.readouterr().out.endswith(
             "idempotence check (double reduction is a fixed point)\n"
             "-----------------------------------------------------\n"
             "PASS\n")
-        assert main(["evidence", ex1_file, "--observed", "1",
-                     "--function", "sc", "--cap", "2"]) == 3
+        assert main(["evidence", wide_file(tmp_path, 21), "--observed", "1",
+                     "--function", "sc"]) == 3
+        assert capsys.readouterr().err == "error: 2^21 event scan exceeds the cap of 2^20\n"
+
+    def test_sc_answers_past_the_search_cap(self, tmp_path, capsys):
+        # 14 minimal sufficient blocks are past the ancillary search cap of
+        # 13, but the laminal is read off the atoms: no search runs.
+        path = wide_file(tmp_path, 14)
+        assert main(["evidence", path, "--observed", "1", "--function", "sc"]) == 0
+        out = capsys.readouterr().out
+        assert "laminal contour (conditioning event)\n" \
+               "------------------------------------\n" \
+               "{1,2,3,4,5,6,7,8,9,10,11,12,13,14}\n" in out
+        assert out.endswith("PASS\n")
+        assert main(["compare", path, path, "--observed1", "1", "--observed2", "2",
+                     "--relation", "sc"]) == 0
+
+    def test_sc_runs_no_ancillary_search(self, ex1_file, capsys, monkeypatch):
+        searched = []
+        real = _Lattice._blocks.func
+
+        def counted(lat):
+            searched.append(lat.k)
+            return real(lat)
+
+        prop = cached_property(counted)
+        prop.__set_name__(_Lattice, "_blocks")
+        monkeypatch.setattr(_Lattice, "_blocks", prop)
+        assert main(["evidence", ex1_file, "--observed", "1", "--function", "sc"]) == 0
+        assert searched == []
+        assert main(["analyze", ex1_file]) == 0
+        assert searched
 
     def test_sc_check_reads_the_report_reduction(self, ex1_file, capsys, monkeypatch):
         # One laminal for the report's contour, one for the check's second
@@ -282,8 +346,9 @@ class TestIntegerArguments:
         for argv, message in (
             (["audit", "--corpus-size", "-3"], "argument --corpus-size: must be at least 0, not -3"),
             (["analyze", ex1_file, "--cap", "-1"], "argument --cap: must be at least 1, not -1"),
-            (["evidence", ex1_file, "--observed", "1", "--cap", "0"],
-             "argument --cap: must be at least 1, not 0"),
+            (["audit", "--cap", "0"], "argument --cap: must be at least 1, not 0"),
+            (["evidence", ex1_file, "--observed", "1", "--cap", "2"],
+             "unrecognized arguments: --cap 2"),
             (["analyze", ex1_file, "--cap", "many"], "argument --cap: invalid int value: 'many'"),
         ):
             with pytest.raises(SystemExit) as exc:
@@ -295,8 +360,7 @@ class TestIntegerArguments:
     def test_smallest_values_still_run(self, ex1_file, capsys):
         assert main(["audit", "--relation", "s", "--corpus-size", "0"]) == 0
         assert "on 6 inference bases (seed 1, size 0)" in capsys.readouterr().out
-        assert main(["evidence", ex1_file, "--observed", "1", "--function", "ms",
-                     "--cap", "1"]) == 0
+        assert main(["audit", "--relation", "sc", "--corpus-size", "0", "--cap", "1"]) == 0
         assert main(["analyze", ex1_file, "--cap", "1"]) == 3
 
 

@@ -26,7 +26,8 @@ from laminal import (
     Relabeling,
     ThetaSpaceMismatch,
     condition_on_event,
-    laminal,
+    join,
+    maximal_ancillaries,
     model_of_statistic,
     mss_partition,
 )
@@ -238,7 +239,9 @@ def test_within_over_another_ground_set_is_rejected(ex2):
 # The functions below are verbatim copies of the earlier ``ev_ms``,
 # ``s_equivalent``, ``ev_sc``, ``sc_equivalent``, ``_match_groups`` and the
 # command line's ``_first_s_obstruction``/``_first_sc_obstruction``.
-# ``_sc_parts`` is copied without the content-keyed cache it used to have.
+# ``_sc_parts`` is copied without the content-keyed cache it used to have,
+# and reads the laminal the way it was found then: the join of the maximal
+# ancillaries, so the ``*-sc`` cases compare it with the laminal of atoms.
 # ---------------------------------------------------------------------------
 
 
@@ -246,7 +249,7 @@ def _sc_parts(ib: InferenceBase, cap: int):
     """Shared ingredients: mss, pushforward, laminal, observed contour."""
     t = mss_partition(ib.model)
     pushed = model_of_statistic(ib.model, t)
-    lam = laminal(pushed, None, cap)
+    lam = join(maximal_ancillaries(pushed, None, cap))
     t_obs = t.block_of(ib.observed)
     contour = lam.blocks[lam.block_of(t_obs)]
     conditional = condition_on_event(pushed, contour)

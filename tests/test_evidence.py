@@ -90,19 +90,24 @@ class TestScEquivalence:
         with pytest.raises(L.ThetaSpaceMismatch):
             L.sc_equivalent(L.InferenceBase(ex2, 0), L.InferenceBase(other, 0))
 
-    def test_theta_mismatch_is_found_before_the_cap(self, ex1, ex2):
-        # ex1's minimal sufficient space has 7 blocks, over a cap of 2: the
-        # parameter labels must be compared before either base is reduced.
+    def test_theta_mismatch_is_found_before_the_cap(self):
+        # 21 distinct likelihood ratios give 21 minimal sufficient blocks,
+        # past the 2^20 event scan: the parameter labels must be compared
+        # before either base is reduced.
+        n, total = 21, 21 * 22 // 2
+        wide = L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)),
+                             [[F(i + 1, total) for i in range(n)],
+                              [F(n - i, total) for i in range(n)]])
         other = L.build_model(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
-        for pair in ((ex1, other), (other, ex1)):
+        for pair in ((wide, other), (other, wide)):
             ib1, ib2 = (L.InferenceBase(m, 0) for m in pair)
             with pytest.raises(L.ThetaSpaceMismatch):
-                L.sc_equivalent(ib1, ib2, cap=2)
+                L.sc_equivalent(ib1, ib2)
             with pytest.raises(L.ThetaSpaceMismatch):
                 L.s_equivalent(ib1, ib2)
         with pytest.raises(L.SizeCapExceeded):
-            L.sc_equivalent(L.InferenceBase(ex1, 0), L.InferenceBase(ex2, 0), cap=2)
+            L.sc_equivalent(L.InferenceBase(wide, 0), L.InferenceBase(wide, 1))
 
     def test_witness_maps_contour_onto_contour(self, sc_not_s_pair):
         ib1, ib2 = sc_not_s_pair

@@ -73,6 +73,13 @@ def test_conforming_events_are_the_pairwise_scan(model):
         assert lat.conforming == frozenset(c for c in zero if all(c & z in zero for z in zero))
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_laminal_of_atoms_is_the_join_of_the_maximals(model):
+    for within in (None, L.mss_partition(model)):
+        assert L.laminal(model, within) == L.join(L.maximal_ancillaries(model, within))
+
+
 FIELDS = ("ancillaries", "maximal", "minimal", "laminal", "stable", "gamma0")
 
 
