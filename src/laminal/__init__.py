@@ -55,7 +55,6 @@ from .evidence import (
     is_ms_reduced,
     maximal_conditionals,
     sc_equivalent,
-    sc_reduction,
 )
 from .model import (
     FiniteModel,
@@ -86,13 +85,11 @@ from .partitions import (
 from .sufficiency import (
     EvidenceBase,
     Obstruction,
-    Reduction,
     Relabeling,
     column_signature,
     ev_ms,
     match_reductions,
     model_of_statistic,
-    ms_reduction,
     mss_partition,
     s_equivalent,
 )

@@ -28,15 +28,15 @@ from .ancillary import (
     mle_ties,
 )
 from .corpus import audit_corpus
-from .errors import LaminalError, ModelFormatError, SizeCapExceeded
+from .errors import EpsilonOutOfRange, LaminalError, ModelFormatError, SizeCapExceeded
 from .evidence import (
     _is_sc_fixed_point,
     audit_relation,
     condition_on_laminal,
     content_hash,
+    ev_sc,
     is_ms_reduced,
     maximal_conditionals,
-    sc_reduction,
 )
 from .model import (
     FiniteModel,
@@ -53,8 +53,8 @@ from .sufficiency import (
     Obstruction,
     _require_same_thetas,
     column_signature,
+    ev_ms,
     match_reductions,
-    ms_reduction,
     mss_partition,
 )
 
@@ -76,6 +76,9 @@ EX1_MINIMAL = ("1,2,3,4,5,6,7", "1,2,3,4,5,6|7", "1,2,3,4,7|5,6",
                "1,2,3,4|5,6,7", "1,2,3,4|5,6|7")
 EX1_MAXIMAL = ("1,2|3,4|5,6|7", "1,3|2,4|5,6|7")
 EX1_LAMINAL = "1,2,3,4|5,6|7"
+# The one admissible eps where 1/16 + 2*eps = 1/14: cross-pair events such
+# as {1,5} become zero-sum there, so the three answers above do not hold.
+EX1_EXCEPTIONAL_EPS = F(1, 224)
 
 EX2_ROWS = ((F(1, 6), F(1, 6), F(2, 6), F(2, 6)),
             (F(1, 12), F(3, 12), F(5, 12), F(3, 12)))
@@ -126,9 +129,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _fs_path(text: str) -> Path:
+    # run() decodes argv as UTF-8; hand the file system back those bytes,
+    # whatever its own encoding.
+    return Path(os.fsdecode(text.encode("utf-8", "surrogateescape")))
+
+
 def _load_model(path: str) -> FiniteModel:
     try:
-        return parse_model(Path(path).read_text(encoding="utf-8"))
+        return parse_model(_fs_path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc}") from None
 
@@ -201,10 +210,10 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
     doc = ReportDocument(
         f"evidence ({args.function}) for model {model.name}, observed {args.observed}"
     )
-    reduced = ms_reduction(ib)
-    pushed = reduced.model
+    ms = ev_ms(ib)
+    pushed = ms.model
     doc.add("minimal sufficient partition", [
-        format_partition(reduced.mss, model.sample_labels),
+        format_partition(ms.mss, model.sample_labels),
         "block signatures (normalized probability vectors):",
         *table_lines(
             ["block", "signature"],
@@ -213,11 +222,11 @@ def cmd_evidence(args) -> tuple[ReportDocument, int]:
         ),
     ])
     if args.function == "ms":
-        eb = reduced.evidence()
+        eb = ms
         fixed = is_ms_reduced(eb.as_inference_base())
     else:
-        eb = condition_on_laminal(reduced).evidence()
-        fixed = _is_sc_fixed_point(reduced.evidence(), eb)
+        eb = condition_on_laminal(ms)
+        fixed = _is_sc_fixed_point(ms, eb)
         doc.add("laminal contour (conditioning event)",
                 [format_event(eb.conditioning_block, model.sample_labels)])
     doc.add("evidence model", _model_table(eb.model))
@@ -242,10 +251,8 @@ def cmd_compare(args) -> tuple[ReportDocument, int]:
         f"({m2.name}, {args.observed2})"
     )
     _require_same_thetas(ib1, ib2)
-    if args.relation == "s":
-        r1, r2 = ms_reduction(ib1), ms_reduction(ib2)
-    else:
-        r1, r2 = sc_reduction(ib1), sc_reduction(ib2)
+    reduce_base = ev_ms if args.relation == "s" else ev_sc
+    r1, r2 = reduce_base(ib1), reduce_base(ib2)
     h = match_reductions(r1, r2)
     if isinstance(h, Obstruction):
         doc.add("verdict", ["NOT-EQUIVALENT", f"obstruction: {h.reason}"])
@@ -399,6 +406,11 @@ def _reproduce_example3(doc: ReportDocument, eps: Fraction) -> bool:
 
 def cmd_reproduce(args) -> tuple[ReportDocument, int]:
     eps = args.epsilon
+    if args.which in ("example1", "all") and eps == EX1_EXCEPTIONAL_EPS:
+        raise EpsilonOutOfRange(
+            f"reproduce {args.which} does not admit eps = {fmt_q(eps)}: there "
+            "1/16 + 2*eps = 1/14, so cross-pair events such as {1,5} are zero-sum "
+            "and the example1 reference answers do not hold")
     doc = ReportDocument(f"reproduce {args.which} (eps = {fmt_q(eps)})")
     ok = True
     if args.which in ("example1", "all"):
@@ -546,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     text = doc.render()
     print(text, end="")
     if args.out:
-        out = Path(args.out)
+        out = _fs_path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text, encoding="utf-8")
         for name, payload in doc.csv_attachments:

@@ -9,9 +9,10 @@ further reduction is possible; ``ev_sc_idempotent`` re-verifies this
 fixed-point property by executing both composition orders.  The laminal
 is read off the atoms, so sc needs the event scan but no ancillary search.
 
-Both steps produce a ``sufficiency.Reduction``; ``match_reductions``
-decides both relations, on the contour here.  Nothing is cached between
-calls: the stable-conditionality audit reduces each base once.
+Both steps produce a ``sufficiency.EvidenceBase``, the one record of a
+reduced base; ``match_reductions`` decides both relations on it, on the
+contour here.  Nothing is cached between calls: the stable-conditionality
+audit reduces each base once.
 
 ``audit_relation`` checks reflexivity, symmetry and transitivity of the
 sufficiency relation, the stable-conditionality relation, and (as a
@@ -33,33 +34,26 @@ from .partitions import DEFAULT_ENUMERATION_CAP
 from .sufficiency import (
     EvidenceBase,
     Obstruction,
-    Reduction,
     Relabeling,
     _require_same_thetas,
     ev_ms,
     match_reductions,
-    ms_reduction,
     s_equivalent,
 )
 
 
-def condition_on_laminal(r: Reduction) -> Reduction:
+def condition_on_laminal(r: EvidenceBase) -> EvidenceBase:
     """Condition a minimal sufficient reduction on its laminal ancillary.
 
-    The space shrinks to the observed laminal contour: the mss blocks that
+    The kept blocks shrink to the observed laminal contour: the mss blocks that
     share the observed laminal value, carrying the conditional model given
     that value.
     """
     lam = laminal(r.model)
     contour = lam.blocks[lam.block_of(r.observed)]
-    return Reduction(
+    return EvidenceBase(
         r.mss, contour, condition_on_event(r.model, contour), r.observed, "sc"
     )
-
-
-def sc_reduction(ib: InferenceBase) -> Reduction:
-    """The stable-conditional reduction of an inference base."""
-    return condition_on_laminal(ms_reduction(ib))
 
 
 def ev_sc(ib: InferenceBase) -> EvidenceBase:
@@ -69,7 +63,7 @@ def ev_sc(ib: InferenceBase) -> EvidenceBase:
     sufficient blocks sharing the observed laminal value, carrying the
     conditional model given that value.
     """
-    return sc_reduction(ib).evidence()
+    return condition_on_laminal(ev_ms(ib))
 
 
 def sc_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
@@ -82,7 +76,7 @@ def sc_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
     parameter labels are compared before either base is reduced.
     """
     _require_same_thetas(ib1, ib2)
-    verdict = match_reductions(sc_reduction(ib1), sc_reduction(ib2))
+    verdict = match_reductions(ev_sc(ib1), ev_sc(ib2))
     return verdict if isinstance(verdict, Relabeling) else None
 
 
@@ -111,8 +105,8 @@ def ev_sc_idempotent(ib: InferenceBase) -> bool:
     agree up to the canonical block identification (same derived model
     matrix over the same parameter labels, same observed position).
     """
-    r = ms_reduction(ib)
-    return _is_sc_fixed_point(r.evidence(), condition_on_laminal(r).evidence())
+    ms = ev_ms(ib)
+    return _is_sc_fixed_point(ms, condition_on_laminal(ms))
 
 
 def conditional_bases_s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> bool:
@@ -121,10 +115,9 @@ def conditional_bases_s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> bo
     Only defined for pairs already equivalent under stable conditionality.
     """
     _require_same_thetas(ib1, ib2)
-    r1, r2 = sc_reduction(ib1), sc_reduction(ib2)
-    if isinstance(match_reductions(r1, r2), Obstruction):
+    e1, e2 = ev_sc(ib1), ev_sc(ib2)
+    if isinstance(match_reductions(e1, e2), Obstruction):
         raise NotSCEquivalent("the pair is not equivalent under stable conditionality")
-    e1, e2 = r1.evidence(), r2.evidence()
     return s_equivalent(e1.as_inference_base(), e2.as_inference_base()) is not None
 
 
@@ -212,7 +205,7 @@ def audit_relation(
     if relation == "s":
         related = {(i, j): _s_related(corpus[i], corpus[j]) for i, j in pairs}
     elif relation == "sc":
-        reduced = [sc_reduction(ib) for ib in corpus]
+        reduced = [ev_sc(ib) for ib in corpus]
         related = {
             (i, j): isinstance(match_reductions(reduced[i], reduced[j]), Relabeling)
             for i, j in pairs

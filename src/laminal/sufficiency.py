@@ -7,12 +7,13 @@ their own (positive) sum, which avoids singling out a reference theta row
 and gives the same grouping wherever a reference row exists.
 
 The evidence function ``ev_ms`` reduces an inference base to the
-pushforward model on those classes plus the observed class, through a
-``Reduction`` record in mss-block indices.  ``match_reductions`` compares
-two such records, for sufficiency here and for stable conditionality in
-``evidence``: it returns the block relabeling that matches the derived
-models and the observed blocks exactly, or the ``Obstruction`` that
-prevents one.
+pushforward model on those classes plus the observed class: one
+``EvidenceBase`` record in mss-block indices, which ``ev_sc`` in
+``evidence`` narrows to the observed laminal contour.  ``match_reductions``
+compares two such records, for sufficiency here and for stable
+conditionality in ``evidence``: it returns the block relabeling that
+matches the derived models and the observed blocks exactly, or the
+``Obstruction`` that prevents one.
 """
 
 from __future__ import annotations
@@ -77,64 +78,51 @@ class Relabeling:
 
 @dataclass(frozen=True)
 class EvidenceBase:
-    """Output of an evidence function.
-
-    ``space`` lists the minimal-sufficient blocks that remain in play, each
-    as a tuple of original sample indices; ``model`` is the derived model
-    over exactly those blocks (conditional on the observed contour when
-    ``conditioning_block`` is present).  ``observed_block`` indexes into
-    ``space``; ``conditioning_block`` is the union of original indices of
-    the conditioning contour.
-    """
-
-    space: tuple[tuple[int, ...], ...]
-    model: FiniteModel
-    observed_block: int
-    conditioning_block: frozenset[int] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "space", tuple(map(tuple, self.space)))
-        if not 0 <= self.observed_block < len(self.space):
-            raise ValueError("observed block outside the evidence space")
-        if len(self.space) != self.model.n_samples:
-            raise ValueError("evidence model does not match its space")
-        if self.conditioning_block is not None:
-            if not set(self.space[self.observed_block]) <= self.conditioning_block:
-                raise ValueError("observed block escapes the conditioning block")
-
-    def as_inference_base(self) -> InferenceBase:
-        return InferenceBase(self.model, self.observed_block)
-
-
-@dataclass(frozen=True)
-class Reduction:
     """An inference base reduced by an evidence function, in mss-block indices.
 
-    ``space`` lists the minimal sufficient blocks still in play (all of them
+    ``kept`` lists the minimal sufficient blocks still in play (all of them
     for ``ev_ms``, the observed laminal contour for ``ev_sc``), ``model`` is
     the derived model over exactly those blocks, in that order, and
-    ``columns`` maps each space block to its column in ``model``.
-    ``relation`` (``"s"`` or ``"sc"``) names the reduction, which sets the
-    wording of an obstruction.
+    ``columns`` maps each kept block to its column in ``model``.
+    ``observed`` is the observed mss block.  ``relation`` (``"s"`` or
+    ``"sc"``) names the reduction, which sets the wording of an obstruction.
+
+    In sample indices, ``space`` lists the kept blocks, ``observed_block``
+    is the observed one's position in ``space`` and ``conditioning_block``
+    (``"sc"`` only) is the union of the kept blocks, the observed contour.
     """
 
     mss: Partition
-    space: tuple[int, ...]
+    kept: tuple[int, ...]
     model: FiniteModel
     observed: int
     relation: str
     columns: dict[int, tuple[Fraction, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
-        columns = {t: self.model.column(i) for i, t in enumerate(self.space)}
+        if self.observed not in self.kept:
+            raise ValueError("observed block outside the evidence space")
+        if len(self.kept) != self.model.n_samples:
+            raise ValueError("evidence model does not match its space")
+        columns = {t: self.model.column(i) for i, t in enumerate(self.kept)}
         object.__setattr__(self, "columns", columns)
 
-    def evidence(self) -> EvidenceBase:
-        """The evidence base: the space as sample indices, for ``ev_ms``/``ev_sc``."""
-        space = tuple(self.mss.blocks[t] for t in self.space)
-        covered = frozenset(e for block in space for e in block)
-        return EvidenceBase(space, self.model, self.space.index(self.observed),
-                            covered if self.relation == "sc" else None)
+    @property
+    def space(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.mss.blocks[t] for t in self.kept)
+
+    @property
+    def observed_block(self) -> int:
+        return self.kept.index(self.observed)
+
+    @property
+    def conditioning_block(self) -> frozenset[int] | None:
+        if self.relation != "sc":
+            return None
+        return frozenset(e for t in self.kept for e in self.mss.blocks[t])
+
+    def as_inference_base(self) -> InferenceBase:
+        return InferenceBase(self.model, self.observed_block)
 
 
 @dataclass(frozen=True)
@@ -144,18 +132,13 @@ class Obstruction:
     reason: str
 
 
-def ms_reduction(ib: InferenceBase) -> Reduction:
-    """The minimal sufficient reduction: the pushforward on every mss block."""
+def ev_ms(ib: InferenceBase) -> EvidenceBase:
+    """Reduce an inference base to its minimal sufficient model and value."""
     t = mss_partition(ib.model)
-    return Reduction(
+    return EvidenceBase(
         t, tuple(range(t.n_blocks)), model_of_statistic(ib.model, t),
         t.block_of(ib.observed), "s",
     )
-
-
-def ev_ms(ib: InferenceBase) -> EvidenceBase:
-    """Reduce an inference base to its minimal sufficient model and value."""
-    return ms_reduction(ib).evidence()
 
 
 def _require_same_thetas(ib1: InferenceBase, ib2: InferenceBase) -> None:
@@ -172,16 +155,16 @@ _VECTOR_WORDS = {
 }
 
 
-def match_reductions(r1: Reduction, r2: Reduction) -> Relabeling | Obstruction:
+def match_reductions(r1: EvidenceBase, r2: EvidenceBase) -> Relabeling | Obstruction:
     """The canonical relabeling of the second base's blocks onto the first's.
 
     Checks run in a fixed order and the first that fails is the
-    obstruction: parameter labels, minimal sufficient size, space size,
-    the observed vector, then the multiset of the remaining vectors.  The
-    witness sends the observed block to the observed block, pairs equal
-    vectors in ascending index order, and completes the blocks off the
-    space in ascending index order (the relation only constrains it on
-    the space).
+    obstruction: parameter labels, minimal sufficient size, number of
+    kept blocks, the observed vector, then the multiset of the remaining
+    vectors.  The witness sends the observed block to the observed block,
+    pairs equal vectors in ascending index order, and completes the blocks
+    not kept in ascending index order (the relation only constrains it on
+    the kept ones).
     """
     if r1.model.theta_labels != r2.model.theta_labels:
         return Obstruction(
@@ -190,9 +173,9 @@ def match_reductions(r1: Reduction, r2: Reduction) -> Relabeling | Obstruction:
     k1, k2 = r1.mss.n_blocks, r2.mss.n_blocks
     if k1 != k2:
         return Obstruction(f"minimal sufficient spaces differ in size ({k1} vs {k2})")
-    if len(r1.space) != len(r2.space):
+    if len(r1.kept) != len(r2.kept):
         return Obstruction(
-            f"laminal contours differ in size ({len(r1.space)} vs {len(r2.space)})"
+            f"laminal contours differ in size ({len(r1.kept)} vs {len(r2.kept)})"
         )
     observed_words, rest_words = _VECTOR_WORDS[r1.relation]
     v1, v2 = r1.columns[r1.observed], r2.columns[r2.observed]
@@ -202,8 +185,8 @@ def match_reductions(r1: Reduction, r2: Reduction) -> Relabeling | Obstruction:
             f"({fmt_vector(v1)} vs {fmt_vector(v2)})"
         )
     # Sorting is stable, so equal vectors keep their ascending block order.
-    rest1 = sorted((t for t in r1.space if t != r1.observed), key=r1.columns.get)
-    rest2 = sorted((t for t in r2.space if t != r2.observed), key=r2.columns.get)
+    rest1 = sorted((t for t in r1.kept if t != r1.observed), key=r1.columns.get)
+    rest2 = sorted((t for t in r2.kept if t != r2.observed), key=r2.columns.get)
     if [r1.columns[t] for t in rest1] != [r2.columns[t] for t in rest2]:
         return Obstruction(f"{rest_words} vectors do not match as multisets")
     src = [r2.observed, *rest2, *(t for t in range(k2) if t not in r2.columns)]
@@ -220,5 +203,5 @@ def s_equivalent(ib1: InferenceBase, ib2: InferenceBase) -> Relabeling | None:
     parameter labels are compared before either base is reduced.
     """
     _require_same_thetas(ib1, ib2)
-    verdict = match_reductions(ms_reduction(ib1), ms_reduction(ib2))
+    verdict = match_reductions(ev_ms(ib1), ev_ms(ib2))
     return verdict if isinstance(verdict, Relabeling) else None

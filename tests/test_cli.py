@@ -147,6 +147,22 @@ class TestAnalyze:
         assert run.returncode == 0, run.stderr.decode()
         assert "observed θ1".encode() in run.stdout
 
+    def test_non_ascii_paths_under_an_ascii_locale(self, tmp_path):
+        # The file system encoding is ASCII here; the model file and the
+        # --out directory are named by the UTF-8 bytes given on the command line.
+        base = os.fsencode(tmp_path)
+        model, out = os.path.join(base, "θ.model".encode()), os.path.join(base, "δ".encode())
+        with open(model, "wb") as f:
+            f.write(b"model m\nthetas a b\nsamples x y z\na 1/2 1/4 1/4\nb 1/4 1/2 1/4\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(L.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "laminal.cli", "evidence", model,
+                              "--observed", "x", "--out", out], capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr.decode()
+        with open(os.path.join(out, b"report.txt"), "rb") as f:
+            assert f.read() == run.stdout
+
     def test_large_model_with_small_mss_analyzes_within(self, tmp_path, ex1, capsys):
         # 14 points: the first seven halve the two-maximal example, the rest
         # are exchangeable padding that collapses into one sufficiency class,
@@ -494,6 +510,19 @@ class TestReproduce:
 
     def test_epsilon_out_of_range_exits_2(self, capsys):
         assert main(["reproduce", "example1", "--epsilon", "1/32"]) == 2
+
+    def test_exceptional_epsilon_exits_2_before_any_report(self, capsys):
+        # At eps = 1/224 example1 has extra ancillaries, so its reference
+        # answers would FAIL; example3 does not rely on them.
+        for which in ("example1", "all"):
+            assert main(["reproduce", which, "--epsilon", "1/224"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                f"error: reproduce {which} does not admit eps = 1/224: there "
+                "1/16 + 2*eps = 1/14, so cross-pair events such as {1,5} are "
+                "zero-sum and the example1 reference answers do not hold\n")
+        assert main(["reproduce", "example3", "--epsilon", "1/224"]) == 0
 
     def test_determinism_across_runs(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

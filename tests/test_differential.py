@@ -12,6 +12,7 @@ for the obstruction reason.
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations
@@ -21,7 +22,7 @@ import pytest
 import laminal as L
 from laminal import (
     DEFAULT_ENUMERATION_CAP,
-    EvidenceBase,
+    FiniteModel,
     InferenceBase,
     Relabeling,
     ThetaSpaceMismatch,
@@ -256,6 +257,16 @@ def _sc_parts(ib: InferenceBase, cap: int):
     return t, pushed, lam, t_obs, contour, conditional
 
 
+@dataclass(frozen=True)
+class EvidenceBase:
+    """The oracles' evidence record: the kept blocks as sample-index tuples."""
+
+    space: tuple[tuple[int, ...], ...]
+    model: FiniteModel
+    observed_block: int
+    conditioning_block: frozenset[int] | None = None
+
+
 def ev_ms(ib: InferenceBase) -> EvidenceBase:
     """Reduce an inference base to its minimal sufficient model and value."""
     t = mss_partition(ib.model)
@@ -413,8 +424,8 @@ def _first_sc_obstruction(ib1, ib2, cap) -> str:
 
 
 ORACLES = {
-    "s": (L.ms_reduction, L.s_equivalent, s_equivalent, _first_s_obstruction),
-    "sc": (L.sc_reduction, L.sc_equivalent, sc_equivalent,
+    "s": (L.ev_ms, L.s_equivalent, s_equivalent, _first_s_obstruction),
+    "sc": (L.ev_sc, L.sc_equivalent, sc_equivalent,
            lambda ib1, ib2: _first_sc_obstruction(ib1, ib2, DEFAULT_ENUMERATION_CAP)),
 }
 
@@ -468,3 +479,16 @@ def test_one_matcher_matches_the_per_relation_deciders(corpus_id, relation):
     assert len(outcomes) >= 4, outcomes
     if corpus_id == "multiset":
         assert any(reason.endswith("as multisets") for reason in outcomes)
+
+
+@pytest.mark.parametrize("corpus_id", list(CORPORA))
+def test_evidence_bases_match_the_oracle_records(corpus_id):
+    # The one record must read, in sample indices, as the record it replaced did.
+    for ib in CORPORA[corpus_id]:
+        for got, want in ((L.ev_ms(ib), ev_ms(ib)), (L.ev_sc(ib), ev_sc(ib))):
+            assert got.space == want.space
+            assert got.observed_block == want.observed_block
+            assert got.conditioning_block == want.conditioning_block
+            for attr in ("probs", "sample_labels", "theta_labels", "name"):
+                assert getattr(got.model, attr) == getattr(want.model, attr)
+            assert got.as_inference_base() == InferenceBase(want.model, want.observed_block)

@@ -67,9 +67,12 @@ class TestEvMs:
         assert eb.space[eb.observed_block] == (0, 3, 5)
 
     def test_evidence_base_invariants(self, ex1):
+        mss, model = L.Partition.singletons(7), L.condition_on_event(ex1, {0, 1})
         with pytest.raises(ValueError):
-            L.EvidenceBase(space=((0,), (1,)), model=L.condition_on_event(ex1, {0, 1}),
-                           observed_block=5)
+            L.EvidenceBase(mss=mss, kept=(0, 1), model=model, observed=5, relation="sc")
+        # One sample of the model per kept block.
+        with pytest.raises(ValueError):
+            L.EvidenceBase(mss=mss, kept=(0, 1, 2), model=model, observed=0, relation="sc")
 
 
 class TestSEquivalence:
@@ -141,8 +144,8 @@ class TestMatchReductions:
         rows = [[col[t] for col in columns] for t in range(2)]
         model = L.build_model(("theta1", "theta2"), labels, rows)
         n = len(columns)
-        return L.Reduction(L.Partition.singletons(n), tuple(range(n)), model,
-                           observed, "s")
+        return L.EvidenceBase(L.Partition.singletons(n), tuple(range(n)), model,
+                              observed, "s")
 
     def test_equal_vectors_pair_in_ascending_order(self):
         x, y = (F(1, 4), F(1, 2)), (F(1, 2), F(0))
@@ -153,8 +156,8 @@ class TestMatchReductions:
     def test_parameter_labels_are_an_obstruction(self, ex2):
         other = L.build_model(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
-        verdict = L.match_reductions(L.ms_reduction(L.InferenceBase(ex2, 0)),
-                                     L.ms_reduction(L.InferenceBase(other, 0)))
+        verdict = L.match_reductions(L.ev_ms(L.InferenceBase(ex2, 0)),
+                                     L.ev_ms(L.InferenceBase(other, 0)))
         assert verdict == L.Obstruction(
             "parameter labels differ: ('theta1', 'theta2') vs ('p', 'q')")
 
