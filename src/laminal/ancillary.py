@@ -6,7 +6,11 @@ depend on the parameter.  This module finds all of them, the maximal ones
 every maximal), and their maximum, the laminal ancillary.
 
 Every answer is read from one table per call: the zero-sum events (equal
-probability under every theta), found by a 2^n integer scan.  Ancillaries
+probability under every theta).  Over the model's integer matrix these are
+the subsets whose packed integer weights sum to zero, found by splitting
+the points into two halves, hashing the subset sums of one half and
+looking up the negation of each subset sum of the other (Horowitz and
+Sahni's split-halves table): O(2^(n/2)) work plus the output.  Ancillaries
 are the covers of the sample space by disjoint nonempty zero-sum events.
 The maximal ones are the covers by atoms, the minimal nonempty zero-sum
 events: a block B holding a smaller nonempty zero-sum event S splits into
@@ -36,12 +40,12 @@ is kept between calls, so all functions are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
+    GroundSetMismatch,
     InternalCheckError,
     NotAncillary,
     SizeCapExceeded,
@@ -50,7 +54,6 @@ from .errors import (
 from .model import (
     FiniteModel,
     ancillary_distribution,
-    block_probabilities,
     condition_on_event,
     event_support,
 )
@@ -62,7 +65,9 @@ from .partitions import (
     join,
 )
 
-#: Bound on the number of points (or restriction blocks) for the 2^n event scan.
+#: Bound on the number of points (or restriction blocks) for the zero-sum
+#: event table.  Its split halves take 2^(n/2) steps each, but a dense
+#: model (one theta: every event is zero-sum) still outputs all 2^n events.
 EVENT_SCAN_CAP = 20
 
 
@@ -108,13 +113,12 @@ class _Lattice:
 
     Events are bitmasks over the blocks of ``within`` (bit i is block i);
     None stands for the singletons.  Each answer is computed on first use,
-    after the cap that guards it (2^k scan, ancillary search) is checked.
+    after the cap that guards it (event table, ancillary search) is checked.
     """
 
     def __init__(self, model: FiniteModel, within: Partition | None,
                  cap: int = DEFAULT_ENUMERATION_CAP):
         self.model, self.cap = model, cap
-        # A within over another ground set fails in block_probabilities.
         self.within = Partition.singletons(model.n_samples) if within is None else within
         self.k = self.within.n_blocks
 
@@ -125,22 +129,29 @@ class _Lattice:
             raise SizeCapExceeded(
                 f"2^{self.k} event scan exceeds the cap of 2^{EVENT_SCAN_CAP}"
             )
-        rows = block_probabilities(self.model, self.within)
-        scale = math.lcm(*(v.denominator for row in rows for v in row))
-        diffs = [[int((a - b) * scale) for a, b in zip(row, rows[0])] for row in rows[1:]]
+        n = self.model.n_samples
+        if self.within.n != n:
+            raise GroundSetMismatch(
+                f"partition over {self.within.n} points does not match model with {n}"
+            )
+        rows = [[sum(row[e] for e in b) for b in self.within.blocks] for row in self.model.scaled]
+        diffs = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
         # One integer per point: its differences as digits in the balanced
         # base 2*bound+1.  No digit sum reaches half the base, so a packed
         # sum is zero exactly when every difference sum is.
         base = 2 * max((sum(map(abs, d)) for d in diffs), default=0) + 1
         weight = [sum(d[i] * base**t for t, d in enumerate(diffs)) for i in range(self.k)]
-        found, mask, total = [0], 0, 0
-        for step in range(1, 1 << self.k):  # Gray-code order: one point per step
-            bit = (step & -step).bit_length() - 1
-            mask ^= 1 << bit
-            total += weight[bit] if mask >> bit & 1 else -weight[bit]
-            if total == 0:
-                found.append(mask)
-        return frozenset(found)
+        # Split halves: the subset sums of each half, indexed by mask; a low
+        # mask completes a high one exactly when their sums cancel.
+        half = self.k // 2
+        low, high = [0], [0]
+        for sums, ws in ((low, weight[:half]), (high, weight[half:])):
+            for w in ws:
+                sums += [s + w for s in sums]
+        by_sum: dict[int, list[int]] = {}
+        for m, s in enumerate(low):
+            by_sum.setdefault(s, []).append(m)
+        return frozenset(h << half | m for h, s in enumerate(high) for m in by_sum.get(-s, ()))
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -302,8 +313,8 @@ def minimal_ancillaries(
 def laminal(model: FiniteModel, within: Partition | None = None) -> Partition:
     """The finest common coarsening of all maximal ancillaries.
 
-    Its blocks are the components of overlapping atoms, so only the 2^n
-    event scan bounds it.  Wherever the ancillaries are searched it is
+    Its blocks are the components of overlapping atoms, so only the event
+    table's cap bounds it.  Wherever the ancillaries are searched it is
     re-checked to be the join of the maximals and the maximum of the
     minimal ancillaries.
     """
@@ -368,8 +379,8 @@ def instability_witness(
 def ancillary_events(model: FiniteModel) -> tuple[frozenset[int], ...]:
     """All subsets of the sample space with parameter-free probability.
 
-    Scans all 2^n subsets (Gray-code order internally, canonical order in
-    the output), so ``n`` is capped at ``EVENT_SCAN_CAP``.
+    Read from the split-halves zero-sum table (canonical order in the
+    output), so ``n`` is capped at ``EVENT_SCAN_CAP``.
     """
     lat = _Lattice(model, None)
     return _events(lat.within, lat.zero)

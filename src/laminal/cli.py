@@ -552,7 +552,12 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LaminalError, OSError) as exc:
+    except OSError as exc:
+        if isinstance(exc.filename, str):  # name the path as given, not in its file-system form
+            exc.filename = os.fsencode(exc.filename).decode("utf-8", "surrogateescape")
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except LaminalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = doc.render()
@@ -569,6 +574,7 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     # UTF-8 in and out, as model files are; bad argument bytes stay surrogates.
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8")
     sys.exit(main([os.fsencode(a).decode("utf-8", "surrogateescape") for a in sys.argv[1:]]))
 
 

@@ -7,7 +7,7 @@ among the stable ancillaries that are functions of the minimal sufficient
 one.  The output keeps only the observed laminal contour, where no
 further reduction is possible; ``ev_sc_idempotent`` re-verifies this
 fixed-point property by executing both composition orders.  The laminal
-is read off the atoms, so sc needs the event scan but no ancillary search.
+is read off the atoms, so sc needs the event table but no ancillary search.
 
 Both steps produce a ``sufficiency.EvidenceBase``, the one record of a
 reduced base; ``match_reductions`` decides both relations on it, on the

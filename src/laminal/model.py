@@ -6,7 +6,11 @@ Ancillarity is an equality predicate on sums of entries, so no floating
 point is allowed anywhere on the analysis path; construction rejects
 floats outright.
 
-Derived models (conditionals, mixtures) are fully validated again, which
+Validation runs in integers: the rows are scaled by the least common
+multiple S of all denominators, and each model keeps that integer matrix
+(``scaled``, every row summing to S) for the ancillary event table, where
+parameter-free events are equal integer sums.  Derived models
+(conditionals, mixtures, pushforwards) are fully validated again, which
 keeps the core invariants (rows sum to 1, no dead sample point) true
 throughout an analysis.  All values are immutable and all operations are
 pure functions, so everything is safe to share across threads.
@@ -14,6 +18,7 @@ pure functions, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -56,6 +61,9 @@ class FiniteModel:
 
     ``name`` and ``dropped`` (labels removed by conditioning or zero-weight
     mixing) are provenance metadata and do not take part in equality.
+    ``scaled`` is ``probs`` over its common denominator S: row t is
+    ``probs[t][j] * S`` for each j, so every row sums to S.  It is derived,
+    so it takes no part in equality or ``repr`` either.
     """
 
     theta_labels: tuple[str, ...]
@@ -63,11 +71,15 @@ class FiniteModel:
     probs: tuple[tuple[Fraction, ...], ...]
     name: str = field(default="model", compare=False)
     dropped: tuple[str, ...] = field(default=(), compare=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         thetas = tuple(self.theta_labels)
         samples = tuple(self.sample_labels)
-        rows = tuple(tuple(as_rational(v) for v in row) for row in self.probs)
+        rows = tuple(
+            tuple(v if isinstance(v, Fraction) else as_rational(v) for v in row)
+            for row in self.probs
+        )
         object.__setattr__(self, "theta_labels", thetas)
         object.__setattr__(self, "sample_labels", samples)
         object.__setattr__(self, "probs", rows)
@@ -79,15 +91,17 @@ class FiniteModel:
                 raise DuplicateLabel(f"duplicate {axis} label")
         if len(rows) != len(thetas) or any(len(r) != len(samples) for r in rows):
             raise ModelError("probability matrix shape does not match labels")
-        for lab, row in zip(thetas, rows):
-            for v in row:
-                if v < 0:
-                    raise NegativeProbability(f"negative probability under {lab}")
-            if sum(row) != _ONE:
-                raise RowSumError(f"row {lab} sums to {sum(row)}, not 1")
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+        for lab, row in zip(thetas, scaled):
+            if any(v < 0 for v in row):
+                raise NegativeProbability(f"negative probability under {lab}")
+            if sum(row) != scale:
+                raise RowSumError(f"row {lab} sums to {Fraction(sum(row), scale)}, not 1")
         for j, lab in enumerate(samples):
-            if all(row[j] == 0 for row in rows):
+            if not any(row[j] for row in scaled):
                 raise DeadSamplePoint(f"sample point {lab} has probability 0 everywhere")
+        object.__setattr__(self, "scaled", scaled)
 
     @property
     def n_thetas(self) -> int:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from functools import reduce
+from functools import cached_property, reduce
 
 import pytest
 
@@ -293,12 +293,15 @@ class TestClassify:
         # Over the singletons classify hands its own lattice to gamma0, so
         # one event table answers both; a coarser within needs a second.
         calls = []
+        table = _Lattice.zero.func
 
-        def counted(model, within):
-            calls.append(within)
-            return L.block_probabilities(model, within)
+        def counted(lat):
+            calls.append(lat.within)
+            return table(lat)
 
-        monkeypatch.setattr("laminal.ancillary.block_probabilities", counted)
+        zero = cached_property(counted)
+        zero.__set_name__(_Lattice, "zero")
+        monkeypatch.setattr(_Lattice, "zero", zero)
         proportional = L.build_model(("a", "b"), ("1", "2", "3", "4"),
                                      [[F(1, 8), F(1, 8), F(1, 4), F(1, 2)],
                                       [F(1, 4), F(1, 8), F(1, 2), F(1, 8)]])

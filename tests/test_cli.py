@@ -163,6 +163,22 @@ class TestAnalyze:
         with open(os.path.join(out, b"report.txt"), "rb") as f:
             assert f.read() == run.stdout
 
+    @pytest.mark.parametrize("locale", [
+        {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        {"PYTHONUTF8": "1"},
+    ], ids=["ascii", "utf8"])
+    def test_missing_non_ascii_path_is_named_as_given(self, tmp_path, locale):
+        # The error names the path by the UTF-8 bytes given on the command
+        # line, not by surrogate escapes of its file-system form.
+        missing = os.path.join(os.fsencode(tmp_path), "missingθ.model".encode())
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(locale, PYTHONPATH=str(Path(L.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "laminal.cli", "evidence", missing,
+                              "--observed", "x"], capture_output=True, env=env)
+        assert run.returncode == 2
+        named = repr(missing.decode("utf-8"))
+        assert run.stderr == f"error: [Errno 2] No such file or directory: {named}\n".encode()
+
     def test_large_model_with_small_mss_analyzes_within(self, tmp_path, ex1, capsys):
         # 14 points: the first seven halve the two-maximal example, the rest
         # are exchangeable padding that collapses into one sufficiency class,

@@ -5,11 +5,13 @@ kept here only as a reference: the growth-string partition enumerator that
 validates every partition it builds, the Bell(n) enumerate-and-filter
 search for ancillaries, stability decided through conditional models, the
 witness search that builds a ``mixture_model`` per point mass, a
-``Fraction`` scan over all subsets for the conforming events, and the two
+``Fraction`` scan over all subsets for the conforming events, the
+Gray-code walk over all 2^k subsets that built the zero-sum table, and the two
 per-relation equivalence deciders with the command line's separate search
 for the obstruction reason.
 """
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +34,8 @@ from laminal import (
     model_of_statistic,
     mss_partition,
 )
-from laminal.corpus import audit_corpus, permuted_copy, random_models
+from laminal.ancillary import _Lattice
+from laminal.corpus import _random_mixture, audit_corpus, permuted_copy, random_models
 from laminal.partitions import coarsen
 from laminal.report import fmt_vector
 
@@ -231,8 +234,9 @@ def test_witness_outside_the_restricted_lattice_is_rejected(one_theta):
 
 
 def test_within_over_another_ground_set_is_rejected(ex2):
-    with pytest.raises(L.GroundSetMismatch):
+    with pytest.raises(L.GroundSetMismatch, match="partition over 5 points does not match model with 4"):
         L.ancillaries(ex2, within=L.Partition.singletons(5))
+
 
 
 # ---------------------------------------------------------------------------
@@ -492,3 +496,54 @@ def test_evidence_bases_match_the_oracle_records(corpus_id):
             for attr in ("probs", "sample_labels", "theta_labels", "name"):
                 assert getattr(got.model, attr) == getattr(want.model, attr)
             assert got.as_inference_base() == InferenceBase(want.model, want.observed_block)
+
+
+# ---------------------------------------------------------------------------
+# The zero-sum table: split halves against the Gray-code scan it replaced.
+# ---------------------------------------------------------------------------
+
+
+def oracle_zero(model, within):
+    """Zero-sum masks from the Gray-code scan of all 2^k subsets, one point per step."""
+    within = L.Partition.singletons(model.n_samples) if within is None else within
+    k = within.n_blocks
+    rows = L.block_probabilities(model, within)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    diffs = [[int((a - b) * scale) for a, b in zip(row, rows[0])] for row in rows[1:]]
+    base = 2 * max((sum(map(abs, d)) for d in diffs), default=0) + 1
+    weight = [sum(d[i] * base**t for t, d in enumerate(diffs)) for i in range(k)]
+    found, mask, total = [0], 0, 0
+    for step in range(1, 1 << k):
+        bit = (step & -step).bit_length() - 1
+        mask ^= 1 << bit
+        total += weight[bit] if mask >> bit & 1 else -weight[bit]
+        if total == 0:
+            found.append(mask)
+    return frozenset(found)
+
+
+def _table_models():
+    # Keyed by model, so a model met twice is tested once.
+    seen = {}
+    for name, m in MODELS:
+        seen.setdefault(m, name)
+    for corpus_id, corpus in CORPORA.items():
+        for i, ib in enumerate(corpus):
+            seen.setdefault(ib.model, f"{corpus_id}-{i}")
+    for n in range(7, 13):
+        seen.setdefault(one_theta(n), f"one-theta-{n}")
+    for n in (6, 9, 12, 14, 16):
+        m = _random_mixture(random.Random(n), 3, n, f"mix3-{n}")
+        seen.setdefault(m, m.name)
+    return [(name, m) for m, name in seen.items()]
+
+
+TABLE_MODELS = _table_models()
+
+
+@pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])
+@pytest.mark.parametrize("model", [m for _, m in TABLE_MODELS], ids=[n for n, _ in TABLE_MODELS])
+def test_split_halves_table_matches_the_gray_code_scan(model, within_mss):
+    within = L.mss_partition(model) if within_mss else None
+    assert model.n_samples <= 16
+    assert _Lattice(model, within).zero == oracle_zero(model, within)

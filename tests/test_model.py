@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -21,16 +22,19 @@ class TestBuildModel:
         assert m.probs == ((F(1),),)
 
     def test_row_sum_error(self):
-        with pytest.raises(L.RowSumError):
+        with pytest.raises(L.RowSumError, match="^row b sums to 2/3, not 1$"):
             L.build_model(("a", "b"), ("1", "2"),
                           [[F(1, 2), F(1, 2)], [F(1, 3), F(1, 3)]])
+        with pytest.raises(L.RowSumError, match="^row a sums to 5/4, not 1$"):
+            L.build_model(("a",), ("1", "2"), [[F(3, 4), F(1, 2)]])
 
     def test_negative_probability(self):
-        with pytest.raises(L.NegativeProbability):
+        with pytest.raises(L.NegativeProbability, match="^negative probability under a$"):
             L.build_model(("a",), ("1", "2"), [[F(3, 2), F(-1, 2)]])
 
     def test_dead_sample_point(self):
-        with pytest.raises(L.DeadSamplePoint):
+        with pytest.raises(L.DeadSamplePoint,
+                           match="^sample point 3 has probability 0 everywhere$"):
             L.build_model(("a", "b"), ("1", "2", "3"),
                           [[F(1, 2), F(1, 2), 0], [F(1, 4), F(3, 4), 0]])
 
@@ -44,6 +48,43 @@ class TestBuildModel:
     def test_floats_are_rejected(self):
         with pytest.raises(L.ModelError):
             L.build_model(("a",), ("1", "2"), [[0.5, 0.5]])
+
+    def test_exact_entries_are_kept_as_given(self):
+        q = F(1, 3)
+        m = L.build_model(("a",), ("1", "2"), [[q, "2/3"]])
+        assert m.probs[0][0] is q and m.probs[0][1] == F(2, 3)
+
+
+def _scaled_cases():
+    ex1 = L.example1_model(F(1, 100))
+    parsed = L.parse_model("model m\nthetas a b\nsamples 1 2 3\n"
+                           "a 1/2 1/3 1/6\nb 1/4 1/4 1/2\n")
+    a1 = bp("1,2|3,4|5,6|7", 7)
+    return [
+        ("parsed", parsed),
+        ("conditional", L.condition_on_event(ex1, [0, 1, 2, 3])),
+        ("mixture", L.mixture_model(ex1, a1, (F(7, 100), F(13, 100), F(27, 100), F(53, 100)))),
+        ("pushforward", L.model_of_statistic(ex1, L.mss_partition(ex1))),
+        ("pushforward-coarse", L.model_of_statistic(ex1, bp("1,2,3,4|5,6|7", 7))),
+    ]
+
+
+class TestScaledMatrix:
+    @pytest.mark.parametrize("model", [m for _, m in _scaled_cases()],
+                             ids=[name for name, _ in _scaled_cases()])
+    def test_rows_are_the_probabilities_over_one_scale(self, model):
+        scale = sum(model.scaled[0])
+        assert all(sum(row) == scale for row in model.scaled)
+        assert scale == math.lcm(*(v.denominator for row in model.probs for v in row))
+        for t, row in enumerate(model.probs):
+            assert model.scaled[t] == tuple(v * scale for v in row)
+            assert all(type(v) is int for v in model.scaled[t])
+
+    def test_scaled_takes_no_part_in_equality_or_repr(self, ex2):
+        other = L.build_model(ex2.theta_labels, ex2.sample_labels, ex2.probs, ex2.name)
+        object.__setattr__(other, "scaled", ((0,),))
+        assert other == ex2 and hash(other) == hash(ex2)
+        assert "scaled" not in repr(ex2)
 
 
 class TestExampleModels:
