@@ -134,7 +134,7 @@ class _Lattice:
             raise GroundSetMismatch(
                 f"partition over {self.within.n} points does not match model with {n}"
             )
-        rows = [[sum(row[e] for e in b) for b in self.within.blocks] for row in self.model.scaled]
+        rows = self._sums
         diffs = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
         # One integer per point: its differences as digits in the balanced
         # base 2*bound+1.  No digit sum reaches half the base, so a packed
@@ -152,6 +152,14 @@ class _Lattice:
         for m, s in enumerate(low):
             by_sum.setdefault(s, []).append(m)
         return frozenset(h << half | m for h, s in enumerate(high) for m in by_sum.get(-s, ()))
+
+    @cached_property
+    def _sums(self) -> tuple[tuple[int, ...], ...]:
+        # Row t, block i: the scaled weight of block i of within under theta t.
+        # Every row of model.scaled sums to the same S, so a ratio of two
+        # entries is a ratio of probabilities.
+        return tuple(tuple(sum(row[e] for e in b) for b in self.within.blocks)
+                     for row in self.model.scaled)
 
     @cached_property
     def atoms(self) -> tuple[int, ...]:
@@ -181,24 +189,21 @@ class _Lattice:
         for z in sorted(self.zero - {0}):
             by_lowest[(z & -z).bit_length() - 1].append(z)
         # Covers come out with blocks in order of their lowest point, as the
-        # blocks of within are; a lifted block needs sorting only when some
-        # block of within is not a run of consecutive points.
-        runs = all(b[-1] - b[0] == len(b) - 1 for b in self.within.blocks)
-        n, found = self.model.n_samples, {}
+        # blocks of within are, so the block number of each within block,
+        # mapped to points, is the cover's growth string.  Each position is
+        # written on the way down before the full cover reads it.
+        bits = {z: [i for i in range(self.k) if z >> i & 1] for z in self.zero}
+        group, point_of, found = [0] * self.k, self.within._block_of, {}
 
         def extend(covered: int, blocks: tuple[int, ...]) -> None:
             if covered == full:
-                lifted = [_lift(self.within, b) for b in blocks]
-                block_of = [0] * n
-                for i, points in enumerate(lifted):
-                    for e in points:
-                        block_of[e] = i
-                parts = tuple(map(tuple, lifted if runs else map(sorted, lifted)))
-                found[Partition._canonical(n, parts, tuple(block_of))] = blocks
+                found[Partition._canonical(tuple(map(group.__getitem__, point_of)))] = blocks
                 return
             free = full & ~covered
             for z in by_lowest[(free & -free).bit_length() - 1]:
                 if not z & covered:
+                    for i in bits[z]:
+                        group[i] = len(blocks)
                     extend(covered | z, blocks + (z,))
 
         extend(0, ())
@@ -206,7 +211,7 @@ class _Lattice:
 
     @cached_property
     def ancillaries(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self._blocks))
+        return tuple(sorted(self._blocks, key=Partition.sort_key))
 
     @cached_property
     def maximal(self) -> tuple[Partition, ...]:
@@ -253,28 +258,35 @@ class _Lattice:
         return u in self.stable
 
     @cached_property
-    def _enumeration_order(self) -> list[Partition]:
+    def _enumeration_order(self) -> list[tuple[Partition, tuple[int, ...]]]:
         # Witnesses are searched in enumerate_partitions order, so the one
         # reported does not depend on the order of the cover search.
+        # Looked up by growth string, which hashes as a plain tuple.
         parts = enumerate_partitions(self.model.n_samples, self.within, self.cap)
-        return [p for p in parts if p in self._blocks]
+        covers = {v._block_of: (v, masks) for v, masks in self._blocks.items()}
+        return [covers[s] for p in parts if (s := p._block_of) in covers]
 
     def witness(self, u: Partition) -> InstabilityWitness | None:
         if self.is_stable(u):
             return None
-        model = self.model
-        for v in self._enumeration_order:
-            for i, b in enumerate(self._blocks[v]):
-                for block, c in enumerate(self._blocks[u]):
-                    if b & c in self.zero:
+        zero, sums, cs = self.zero, self._sums, self._blocks[u]
+
+        def weight(row: tuple[int, ...], mask: int) -> int:
+            return sum(w for i, w in enumerate(row) if mask >> i & 1)
+
+        for v, bs in self._enumeration_order:
+            for i, b in enumerate(bs):
+                for block, c in enumerate(cs):
+                    if b & c in zero:
                         continue
-                    # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t.
-                    mass = model.event_prob(0, _lift(self.within, b))
-                    trace = _lift(self.within, b & c)
-                    vals = [model.event_prob(t, trace) / mass for t in range(model.n_thetas)]
-                    t = next(t for t, p in enumerate(vals) if p != vals[0])
+                    # Point mass on B: U & B gets P_t(U & B) / P(B) under theta
+                    # t, a ratio of integer weights over the common scale S.
+                    trace = [weight(row, b & c) for row in sums]
+                    t = next(t for t, s in enumerate(trace) if s != trace[0])
+                    mass = weight(sums[0], b)
                     weights = tuple(Fraction(int(x == i)) for x in range(v.n_blocks))
-                    return InstabilityWitness(u, v, weights, block, (vals[0], vals[t]), (0, t))
+                    lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
+                    return InstabilityWitness(u, v, weights, block, lr, (0, t))
         raise InternalCheckError(f"{u!r} is unstable but no witness was found")
 
 

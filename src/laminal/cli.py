@@ -545,6 +545,13 @@ _COMMANDS = {
 }
 
 
+def _os_error(exc: OSError) -> int:
+    if isinstance(exc.filename, str):  # name the path as given, not in its file-system form
+        exc.filename = os.fsencode(exc.filename).decode("utf-8", "surrogateescape")
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -553,10 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        if isinstance(exc.filename, str):  # name the path as given, not in its file-system form
-            exc.filename = os.fsencode(exc.filename).decode("utf-8", "surrogateescape")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _os_error(exc)
     except LaminalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -564,10 +568,13 @@ def main(argv: list[str] | None = None) -> int:
     print(text, end="")
     if args.out:
         out = _fs_path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text, encoding="utf-8")
-        for name, payload in doc.csv_attachments:
-            (out / name).write_text(payload, encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "report.txt").write_text(text, encoding="utf-8")
+            for name, payload in doc.csv_attachments:
+                (out / name).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            return _os_error(exc)
     return code
 
 

@@ -6,10 +6,14 @@ that are 1-1 functions of each other induce the same partition.  All
 statistics in this package are therefore represented as partitions over
 indices; label text only appears in reports.
 
-Blocks are stored sorted by their minimum element with elements sorted
-inside each block, so equality and hashing are structural and sets of
-partitions deduplicate automatically.  Everything here is a pure function
-over immutable values.
+A partition's identity is its restricted growth string: point e goes to
+block ``block_of(e)``, and blocks are numbered in order of their least
+point, so the string starts at 0 and each entry is at most one more than
+the largest before it (Knuth, TAOCP 4A, 7.2.1.5).  Equality and hashing
+read only that flat tuple, so sets of partitions deduplicate
+automatically.  The blocks, sorted by their minimum element with elements
+sorted inside each block, are built from the string on first use and then
+kept.  Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ DEFAULT_ENUMERATION_CAP = 13
 class Partition:
     """An ordered set partition of {0, ..., n-1} with structural equality."""
 
-    __slots__ = ("n", "blocks", "_block_of")
+    __slots__ = ("n", "_blocks", "_block_of")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int | None = None):
         norm = []
@@ -46,17 +50,15 @@ class Partition:
             for e in b:
                 block_of[e] = i
         self.n = n
-        self.blocks = tuple(norm)
+        self._blocks = tuple(norm)
         self._block_of = tuple(block_of)
 
     @classmethod
-    def _canonical(
-        cls, n: int, blocks: tuple[tuple[int, ...], ...], block_of: tuple[int, ...]
-    ) -> "Partition":
-        # Trusted constructor: ``blocks`` must already be canonical and
-        # ``block_of`` consistent with them; nothing is checked.
+    def _canonical(cls, block_of: tuple[int, ...]) -> "Partition":
+        # Trusted constructor: ``block_of`` must already be a restricted
+        # growth string; nothing is checked, and no block is built.
         p = object.__new__(cls)
-        p.n, p.blocks, p._block_of = n, blocks, block_of
+        p.n, p._blocks, p._block_of = len(block_of), None, block_of
         return p
 
     @classmethod
@@ -76,8 +78,19 @@ class Partition:
         return cls(groups.values(), len(keys))
 
     @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        if self._blocks is None:
+            # Points are visited in order, so each block comes out sorted,
+            # and the blocks in order of their least point.
+            groups: list[list[int]] = [[] for _ in range(self.n_blocks)]
+            for e, i in enumerate(self._block_of):
+                groups[i].append(e)
+            self._blocks = tuple(map(tuple, groups))
+        return self._blocks
+
+    @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self._block_of) + 1
 
     def block_of(self, element: int) -> int:
         """Index of the block containing ``element``."""
@@ -101,14 +114,11 @@ class Partition:
         return (self.n, self.n_blocks, self.blocks)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
+        # The string's length is n, so equal strings mean equal ground sets.
+        return isinstance(other, Partition) and self._block_of == other._block_of
 
     def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+        return hash(self._block_of)
 
     def __lt__(self, other: "Partition") -> bool:
         return self.sort_key() < other.sort_key()
@@ -186,11 +196,11 @@ def enumerate_partitions(
     size is its block count.  Raises SizeCapExceeded when the effective size
     exceeds ``cap``.
 
-    The growth string assigns base block i to group a[i], and each group is
-    built as the string grows.  A group opens with the base block of least
-    minimum among its members, and base blocks come in order of their
-    minima, so the yielded partitions are canonical by construction and
-    skip the sorting and validation of the ``Partition`` constructor.
+    A growth string ``a`` over the base blocks puts base block i in group
+    a[i].  Base blocks come in order of their least points, so mapping each
+    point through its base block gives the yielded partition's own growth
+    string: it is canonical by construction, and no block is built unless
+    one is read.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -202,29 +212,31 @@ def enumerate_partitions(
         raise SizeCapExceeded(
             f"enumeration over {size} items exceeds the cap of {cap}"
         )
-    # Merged groups are already sorted when every base block is a run of
-    # consecutive points, as the singletons are; otherwise sort them.
-    runs = all(b[-1] - b[0] == len(b) - 1 for b in base.blocks)
-    a = [0] * size
-    groups: list[list[int]] = []
+    strings = _growth_strings(size)
+    if size < n:  # base block i's points all go to group a[i]
+        point_of = base._block_of
+        strings = (tuple(map(a.__getitem__, point_of)) for a in strings)
+    return map(Partition._canonical, strings)
 
-    def rec(i: int) -> Iterator[Partition]:
-        if i == size:
-            blocks = tuple(map(tuple, groups) if runs else map(tuple, map(sorted, groups)))
-            yield Partition._canonical(n, blocks, tuple(map(a.__getitem__, base._block_of)))
+
+def _growth_strings(size: int) -> Iterator[tuple[int, ...]]:
+    # Restricted growth strings of length ``size`` in lexicographic order.
+    # top[i] = max(a[:i + 1]); the last entry runs through its values in the
+    # inner loop, and each outer step moves to the next prefix.
+    a, top, last = [0] * size, [0] * size, size - 1
+    while True:
+        for g in range(top[last - 1] + 2 if last else 1):
+            a[last] = g
+            yield tuple(a)
+        i = last - 1
+        while i > 0 and a[i] > top[i - 1]:
+            i -= 1
+        if i <= 0:
             return
-        b = base.blocks[i]
-        for g, group in enumerate(groups):
-            a[i] = g
-            group.extend(b)
-            yield from rec(i + 1)
-            del group[-len(b):]
-        a[i] = len(groups)
-        groups.append(list(b))
-        yield from rec(i + 1)
-        groups.pop()
-
-    return rec(0)
+        a[i] += 1
+        top[i] = max(top[i - 1], a[i])
+        a[i + 1:last] = [0] * (last - i - 1)
+        top[i + 1:last] = [top[i]] * (last - i - 1)
 
 
 def format_partition(p: Partition, labels: Sequence[str] | None = None) -> str:

@@ -99,6 +99,17 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert main(["analyze", str(tmp_path / "missing.model")]) == 2
 
+    def test_out_naming_an_existing_file_exits_2(self, ex1_file, tmp_path, capsys):
+        # The report is printed first; the --out directory cannot be made,
+        # which is reported as one error line naming the path.
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["evidence", ex1_file, "--observed", "1", "--out", str(afile)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("evidence")
+        assert err == f"error: [Errno 17] File exists: {str(afile)!r}\n"
+        assert afile.read_text() == "kept\n"
+
     def test_non_utf8_model_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "utf16.model"
         path.write_bytes(b"\xff\xfe" + "model m\n".encode("utf-16-le"))

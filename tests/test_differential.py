@@ -166,11 +166,16 @@ def test_enumeration_matches_the_growth_string_oracle(n, base):
     got = list(L.enumerate_partitions(n, coarser_than=base))
     want = list(oracle_enumerate_partitions(n, base))
     assert got == want
+    assert all(p != q for p, q in zip(got, got[1:]))
     for p, q in zip(got, want):
         # The enumerator builds partitions without validation, so check
         # each one against the validating constructor here.
         rebuilt = L.Partition(p.blocks, p.n)
         assert p == rebuilt and hash(p) == hash(rebuilt) == hash(q)
+        # Equality reads only the growth string, so check the lazily built
+        # blocks and what is read off them on their own.
+        assert p.blocks == q.blocks and p.n_blocks == q.n_blocks
+        assert p.sort_key() == q.sort_key()
         assert [p.block_of(e) for e in range(n)] == [q.block_of(e) for e in range(n)]
         assert all(p.block_of(e) == i for i, b in enumerate(p.blocks) for e in b)
 

@@ -80,6 +80,32 @@ def test_laminal_of_atoms_is_the_join_of_the_maximals(model):
         assert L.laminal(model, within) == L.join(L.maximal_ancillaries(model, within))
 
 
+@st.composite
+def partitions(draw):
+    n = draw(st.integers(1, 8))
+    return L.Partition.from_assignment(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(partitions(), min_size=1, max_size=12), st.data())
+def test_a_partition_is_its_growth_string(parts, data):
+    # Equality and hashing read only the growth string; the blocks of a
+    # copy made from the string alone are built when first read.
+    for p in parts:
+        lazy = L.Partition._canonical(p._block_of)
+        assert lazy == p and hash(lazy) == hash(p)
+        assert lazy.blocks == p.blocks and lazy.n_blocks == p.n_blocks
+    assert all((p == q) == (p._block_of == q._block_of) for p in parts for q in parts)
+    validated = [L.Partition(p.blocks, p.n) for p in parts]
+    flags = data.draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    mix = data.draw(st.permutations(
+        [L.Partition._canonical(p._block_of) if lazy else p for p, lazy in zip(validated, flags)]))
+    want = sorted(validated)
+    for got in (sorted(mix), sorted(mix, key=L.Partition.sort_key)):
+        assert got == want
+        assert [q.blocks for q in got] == [q.blocks for q in want]
+
+
 FIELDS = ("ancillaries", "maximal", "minimal", "laminal", "stable", "gamma0")
 
 
