@@ -21,7 +21,12 @@ An event is conforming (see below) when its intersection with each atom
 is zero-sum: every zero-sum event is a disjoint union of atoms.
 Every atom is a block of some maximal (its complement splits into atoms),
 so their join, the laminal, is the components of overlapping atoms: it
-needs no search, and where the search runs it is re-checked.
+needs no search, and where the search runs it is re-checked.  It is kept
+as its parts, disjoint masks.  A minimal ancillary coarsens every maximal,
+so their join, and every union of parts is zero-sum, so every coarsening
+of the laminal is ancillary: the minimal ancillaries are the ancillaries
+whose blocks lie in the laminal's algebra (the unions of its parts), and
+Γ0, the conforming events, is compared with that algebra on masks.
 With ``within`` the table is that of the pushforward model on the blocks
 of ``within``, and answers are lifted back to the sample space.
 
@@ -43,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from .errors import (
     GroundSetMismatch,
@@ -61,7 +67,6 @@ from .partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     enumerate_partitions,
-    is_coarsening,
     join,
 )
 
@@ -69,6 +74,8 @@ from .partitions import (
 #: event table.  Its split halves take 2^(n/2) steps each, but a dense
 #: model (one theta: every event is zero-sum) still outputs all 2^n events.
 EVENT_SCAN_CAP = 20
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def is_ancillary(model: FiniteModel, p: Partition) -> bool:
@@ -108,6 +115,14 @@ def _events(p: Partition, masks) -> tuple[frozenset[int], ...]:
     return tuple(sorted(out, key=lambda e: (len(e), sorted(e))))
 
 
+def _bell(n: int) -> int:
+    """The number of partitions of n items: B(m+1) = sum of C(m, j) B(j)."""
+    bells = [1]
+    for m in range(n):
+        bells.append(sum(comb(m, j) * b for j, b in enumerate(bells)))
+    return bells[n]
+
+
 class _Lattice:
     """The zero-sum event table of one model, and every answer read from it.
 
@@ -121,6 +136,7 @@ class _Lattice:
         self.model, self.cap = model, cap
         self.within = Partition.singletons(model.n_samples) if within is None else within
         self.k = self.within.n_blocks
+        self._hits: dict[int, tuple[int, int] | None] = {}
 
     @cached_property
     def zero(self) -> frozenset[int]:
@@ -162,6 +178,11 @@ class _Lattice:
                      for row in self.model.scaled)
 
     @cached_property
+    def _bits(self) -> dict[int, list[int]]:
+        # The blocks of within in each zero-sum event.
+        return {z: [i for i in range(self.k) if z >> i & 1] for z in self.zero}
+
+    @cached_property
     def atoms(self) -> tuple[int, ...]:
         # Scanned by popcount, an event is an atom when it holds no atom found.
         atoms: list[int] = []
@@ -192,8 +213,7 @@ class _Lattice:
         # blocks of within are, so the block number of each within block,
         # mapped to points, is the cover's growth string.  Each position is
         # written on the way down before the full cover reads it.
-        bits = {z: [i for i in range(self.k) if z >> i & 1] for z in self.zero}
-        group, point_of, found = [0] * self.k, self.within._block_of, {}
+        bits, group, point_of, found = self._bits, [0] * self.k, self.within._block_of, {}
 
         def extend(covered: int, blocks: tuple[int, ...]) -> None:
             if covered == full:
@@ -221,24 +241,43 @@ class _Lattice:
 
     @cached_property
     def minimal(self) -> tuple[Partition, ...]:
-        maxs, lam = self.maximal, self.laminal
-        minimal = tuple(p for p in self.ancillaries if all(is_coarsening(p, w) for w in maxs))
-        if join(maxs) != lam:
+        # The coarsenings of the laminal (see the module docstring): the
+        # ancillaries whose blocks lie in its algebra, Bell(b) for b parts.
+        lam = self.laminal
+        minimal = tuple(p for p in self.ancillaries if self.algebra.issuperset(self._blocks[p]))
+        if join(self.maximal) != lam:
             raise InternalCheckError("join of maximal ancillaries is not the laminal")
         if lam not in minimal:
             raise InternalCheckError("laminal is not among the minimal ancillaries")
-        if not all(is_coarsening(p, lam) for p in minimal):
-            raise InternalCheckError("a minimal ancillary does not coarsen the laminal")
+        if len(minimal) != _bell(len(self.parts)):
+            raise InternalCheckError("a coarsening of the laminal is not ancillary")
         return minimal
 
     @cached_property
-    def laminal(self) -> Partition:
+    def parts(self) -> tuple[int, ...]:
+        # The laminal's blocks as disjoint masks, in order of their lowest bit.
         parts: list[int] = []
         for a in self.atoms:  # merge what a overlaps; parts are disjoint, so sum = union
             parts = [c for c in parts if not c & a] + [a | sum(c for c in parts if c & a)]
         if any(c not in self.zero for c in parts):
             raise InternalCheckError("a component of overlapping atoms is not zero-sum")
-        return Partition((_lift(self.within, c) for c in parts), self.model.n_samples)
+        return tuple(sorted(parts, key=lambda c: c & -c))
+
+    @cached_property
+    def laminal(self) -> Partition:
+        # Parts come in order of their lowest block of within, whose blocks
+        # come in order of their least point: mapped to points, the part
+        # numbers are the laminal's growth string.
+        part_of = {i: j for j, c in enumerate(self.parts) for i in range(self.k) if c >> i & 1}
+        return Partition._canonical(tuple(map(part_of.__getitem__, self.within._block_of)))
+
+    @cached_property
+    def algebra(self) -> frozenset[int]:
+        # Every union of laminal parts, the empty one included.
+        masks = [0]
+        for c in self.parts:
+            masks += [m | c for m in masks]
+        return frozenset(masks)
 
     @cached_property
     def stable(self) -> tuple[Partition, ...]:
@@ -266,28 +305,36 @@ class _Lattice:
         covers = {v._block_of: (v, masks) for v, masks in self._blocks.items()}
         return [covers[s] for p in parts if (s := p._block_of) in covers]
 
+    def _first_hit(self, c: int) -> tuple[int, int] | None:
+        # First (order position, block of v) whose block B leaves B & c
+        # not zero-sum, found once per distinct block mask c.
+        if c not in self._hits:
+            zero, order = self.zero, self._enumeration_order
+            self._hits[c] = next(((pos, i) for pos, (_, bs) in enumerate(order)
+                                  for i, b in enumerate(bs) if b & c not in zero), None)
+        return self._hits[c]
+
     def witness(self, u: Partition) -> InstabilityWitness | None:
         if self.is_stable(u):
             return None
-        zero, sums, cs = self.zero, self._sums, self._blocks[u]
-
-        def weight(row: tuple[int, ...], mask: int) -> int:
-            return sum(w for i, w in enumerate(row) if mask >> i & 1)
-
-        for v, bs in self._enumeration_order:
-            for i, b in enumerate(bs):
-                for block, c in enumerate(cs):
-                    if b & c in zero:
-                        continue
-                    # Point mass on B: U & B gets P_t(U & B) / P(B) under theta
-                    # t, a ratio of integer weights over the common scale S.
-                    trace = [weight(row, b & c) for row in sums]
-                    t = next(t for t, s in enumerate(trace) if s != trace[0])
-                    mass = weight(sums[0], b)
-                    weights = tuple(Fraction(int(x == i)) for x in range(v.n_blocks))
-                    lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
-                    return InstabilityWitness(u, v, weights, block, lr, (0, t))
-        raise InternalCheckError(f"{u!r} is unstable but no witness was found")
+        cs = self._blocks[u]
+        # The first (position, block of v, block of u) in scan order: the
+        # least (hit, block) over u's blocks.
+        hits = [(h, block) for block, c in enumerate(cs)
+                if (h := self._first_hit(c)) is not None]
+        if not hits:
+            raise InternalCheckError(f"{u!r} is unstable but no witness was found")
+        (pos, i), block = min(hits)
+        v, bs = self._enumeration_order[pos]
+        c, bits = cs[block], self._bits[bs[i]]
+        # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t, a
+        # ratio of integer weights over the common scale S.
+        trace = [sum(row[j] for j in bits if c >> j & 1) for row in self._sums]
+        t = next(t for t, s in enumerate(trace) if s != trace[0])
+        mass = sum(self._sums[0][j] for j in bits)
+        weights = tuple(_ONE if x == i else _ZERO for x in range(v.n_blocks))
+        lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
+        return InstabilityWitness(u, v, weights, block, lr, (0, t))
 
 
 def ancillaries(
@@ -406,23 +453,15 @@ def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
 def gamma0(model: FiniteModel, *, _lattice: _Lattice | None = None) -> tuple[frozenset[int], ...]:
     """Ancillary events whose intersection with every ancillary event is ancillary.
 
-    The result is re-checked on every call to be an algebra (closed under
-    complement and union) and to coincide with the algebra generated by
-    the laminal ancillary's blocks.  ``_lattice`` lets ``classify`` hand
-    over the sample-space lattice it has already built.
+    The result is re-checked on every call to coincide, as a set of masks,
+    with the algebra generated by the laminal ancillary's blocks, so it is
+    an algebra.  ``_lattice`` lets ``classify`` hand over the sample-space
+    lattice it has already built.
     """
     lat = _Lattice(model, None) if _lattice is None else _lattice
-    conf = lat.conforming
-    full = (1 << lat.k) - 1
-    for c in conf:
-        if full ^ c not in conf:
-            raise InternalCheckError("conforming events not closed under complement")
-        if any(c | d not in conf for d in conf):
-            raise InternalCheckError("conforming events not closed under union")
-    events = _events(lat.within, conf)
-    if set(algebra_generated_by(lat.laminal)) != set(events):
+    if lat.conforming != lat.algebra:
         raise InternalCheckError("conforming-event algebra differs from the laminal algebra")
-    return events
+    return _events(lat.within, lat.conforming)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ def _fs_path(text: str) -> Path:
 
 def _load_model(path: str) -> FiniteModel:
     try:
-        return parse_model(_fs_path(path).read_text(encoding="utf-8"))
+        return parse_model(_fs_path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc}") from None
 
@@ -181,7 +181,15 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
     doc.add("laminal ancillary", [format_partition(cls.laminal, labels)])
     doc.add("stable ancillaries",
             [format_partition(p, labels) for p in cls.stable])
-    atoms = [e for e in cls.gamma0 if e and not any(f and f < e for f in cls.gamma0)]
+    # Γ0 is sorted by size and every other nonempty event holds a smaller
+    # atom, so the atoms are the nonempty events missing every atom before
+    # them.  They are not cls.laminal's blocks: Γ0 is always taken over the
+    # sample space, and under --within-mss the laminal can be coarser.
+    atoms, covered = [], set()
+    for e in cls.gamma0:
+        if e and covered.isdisjoint(e):
+            atoms.append(e)
+            covered |= e
     doc.add("conforming events (Gamma0)", [
         f"algebra of {len(cls.gamma0)} events",
         "atoms: " + "; ".join(format_event(e, labels) for e in atoms),

@@ -357,7 +357,13 @@ def parse_model(text: str) -> FiniteModel:
         for tok in toks[1:]:
             if not _RATIONAL_TOKEN.match(tok):
                 raise ModelFormatError(f"not an exact rational token: {tok!r}")
-            row.append(as_rational(tok))
+            # The pattern has checked the syntax, so split it by hand rather
+            # than have Fraction match the token a second time.
+            num, _, den = tok.partition("/")
+            den = int(den or 1)
+            if not den:
+                raise ModelFormatError(f"not a rational: {tok!r}")
+            row.append(Fraction(int(num), den))
         rows[lab] = row
     missing = [lab for lab in thetas if lab not in rows]
     if missing:

@@ -116,6 +116,14 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_model_file_starting_with_a_utf8_bom_is_read(self, ex1_file, tmp_path, capsys):
+        path = tmp_path / "bom.model"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(ex1_file).read_bytes())
+        assert main(["analyze", ex1_file]) == 0
+        plain = capsys.readouterr()
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr() == plain
+
     def test_labels_with_partition_syntax_exit_2(self, tmp_path, capsys):
         path = tmp_path / "labels.model"
         path.write_text("model m\nthetas a b\nsamples 1,2 3|4 5\n"

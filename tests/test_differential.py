@@ -4,11 +4,12 @@ Each oracle below is a direct transcription of an earlier implementation,
 kept here only as a reference: the growth-string partition enumerator that
 validates every partition it builds, the Bell(n) enumerate-and-filter
 search for ancillaries, stability decided through conditional models, the
-witness search that builds a ``mixture_model`` per point mass, a
-``Fraction`` scan over all subsets for the conforming events, the
-Gray-code walk over all 2^k subsets that built the zero-sum table, and the two
-per-relation equivalence deciders with the command line's separate search
-for the obstruction reason.
+witness search that builds a ``mixture_model`` per point mass, the nested
+witness scan of every ancillary's blocks against every block of the
+statistic, a ``Fraction`` scan over all subsets for the conforming events,
+the Gray-code walk over all 2^k subsets that built the zero-sum table, and
+the two per-relation equivalence deciders with the command line's separate
+search for the obstruction reason.
 """
 
 import math
@@ -227,6 +228,41 @@ def test_is_stable_and_ancillary_events_match_the_oracles(model):
         if len({model.event_prob(t, s) for t in range(model.n_thetas)}) == 1
     }
     assert set(L.ancillary_events(model)) == events
+
+
+def oracle_nested_witness(lat, u):
+    """The scan that found each witness before the per-block memo: every block
+    B of every ancillary in enumeration order, against every block of u."""
+    if lat.is_stable(u):
+        return None
+    zero, sums, cs = lat.zero, lat._sums, lat._blocks[u]
+
+    def weight(row: tuple[int, ...], mask: int) -> int:
+        return sum(w for i, w in enumerate(row) if mask >> i & 1)
+
+    for v, bs in lat._enumeration_order:
+        for i, b in enumerate(bs):
+            for block, c in enumerate(cs):
+                if b & c in zero:
+                    continue
+                # Point mass on B: U & B gets P_t(U & B) / P(B) under theta
+                # t, a ratio of integer weights over the common scale S.
+                trace = [weight(row, b & c) for row in sums]
+                t = next(t for t, s in enumerate(trace) if s != trace[0])
+                mass = weight(sums[0], b)
+                weights = tuple(F(int(x == i)) for x in range(v.n_blocks))
+                lr = (F(trace[0], mass), F(trace[t], mass))
+                return L.InstabilityWitness(u, v, weights, block, lr, (0, t))
+    raise L.InternalCheckError(f"{u!r} is unstable but no witness was found")
+
+
+@pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])
+@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
+def test_witnesses_match_the_nested_scan(model, within_mss):
+    within = L.mss_partition(model) if within_mss else None
+    lat = _Lattice(model, within)
+    want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
+    assert L.classify(model, within).witnesses == want
 
 
 def test_witness_outside_the_restricted_lattice_is_rejected(one_theta):

@@ -267,6 +267,13 @@ b 1/4 3/4
         with pytest.raises(err):
             L.parse_model(bad)
 
+    def test_tokens_are_signed_unreduced_rationals(self):
+        m = L.parse_model("model m\nthetas a b\nsamples 1 2 3\n"
+                          "a +2/4 -0/7 2/4\nb 1/4 3/8 003/8\n")
+        assert m.probs == ((F(1, 2), F(0), F(1, 2)), (F(1, 4), F(3, 8), F(3, 8)))
+        with pytest.raises(L.ModelFormatError, match=r"^not a rational: '1/0'$"):
+            L.parse_model("model m\nthetas a\nsamples 1 2\na 1/0 1\n")
+
 
 class TestInferenceBase:
     def test_observed_must_be_in_range(self, ex2):

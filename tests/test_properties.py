@@ -86,6 +86,22 @@ def partitions(draw):
     return L.Partition.from_assignment(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_minimals_and_gamma0_are_read_off_the_laminal(model):
+    # Oracles: the pairwise coarsening filter over the maximals, the Bell
+    # number of the laminal's blocks, and the laminal's algebra as events.
+    for within in (None, L.mss_partition(model)):
+        cls = L.classify(model, within)
+        pairwise = tuple(p for p in cls.ancillaries
+                         if all(L.is_coarsening(p, w) for w in cls.maximal))
+        assert cls.minimal == pairwise
+        assert len(cls.minimal) == sum(1 for _ in L.enumerate_partitions(cls.laminal.n_blocks))
+        # Γ0 is always taken over the sample space, so under the mss it is
+        # the algebra of the sample space's laminal, not of cls.laminal.
+        assert cls.gamma0 == L.algebra_generated_by(L.laminal(model))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.lists(partitions(), min_size=1, max_size=12), st.data())
 def test_a_partition_is_its_growth_string(parts, data):
