@@ -212,12 +212,18 @@ class _Lattice:
         # Covers come out with blocks in order of their lowest point, as the
         # blocks of within are, so the block number of each within block,
         # mapped to points, is the cover's growth string.  Each position is
-        # written on the way down before the full cover reads it.
-        bits, group, point_of, found = self._bits, [0] * self.k, self.within._block_of, {}
+        # written on the way down before the full cover reads it.  Each
+        # zero-sum event is lifted to its sorted points once, and every
+        # cover is born with its blocks, sharing those tuples.
+        bits, group, within, found = self._bits, [0] * self.k, self.within, {}
+        points = {z: tuple(sorted(e for i in bs for e in within.blocks[i]))
+                  for z, bs in bits.items()}
 
         def extend(covered: int, blocks: tuple[int, ...]) -> None:
             if covered == full:
-                found[Partition._canonical(tuple(map(group.__getitem__, point_of)))] = blocks
+                v = Partition._canonical(tuple(map(group.__getitem__, within)))
+                v.blocks = tuple(map(points.__getitem__, blocks))
+                found[v] = blocks
                 return
             free = full & ~covered
             for z in by_lowest[(free & -free).bit_length() - 1]:
@@ -269,7 +275,7 @@ class _Lattice:
         # come in order of their least point: mapped to points, the part
         # numbers are the laminal's growth string.
         part_of = {i: j for j, c in enumerate(self.parts) for i in range(self.k) if c >> i & 1}
-        return Partition._canonical(tuple(map(part_of.__getitem__, self.within._block_of)))
+        return Partition._canonical(tuple(map(part_of.__getitem__, self.within)))
 
     @cached_property
     def algebra(self) -> frozenset[int]:
@@ -291,19 +297,23 @@ class _Lattice:
                                      f"structural={u in self.minimal}, definitional={u in stable}")
         return stable
 
+    @cached_property
+    def _stable_set(self) -> frozenset[Partition]:
+        return frozenset(self.stable)
+
     def is_stable(self, u: Partition) -> bool:
         if u not in self._blocks:
             raise NotAncillary(f"{u!r} is not an ancillary of this lattice")
-        return u in self.stable
+        return u in self._stable_set
 
     @cached_property
     def _enumeration_order(self) -> list[tuple[Partition, tuple[int, ...]]]:
         # Witnesses are searched in enumerate_partitions order, so the one
-        # reported does not depend on the order of the cover search.
-        # Looked up by growth string, which hashes as a plain tuple.
+        # reported does not depend on the order of the cover search.  Each
+        # enumerated partition is hashed and looked up as a tuple, in C.
         parts = enumerate_partitions(self.model.n_samples, self.within, self.cap)
-        covers = {v._block_of: (v, masks) for v, masks in self._blocks.items()}
-        return [covers[s] for p in parts if (s := p._block_of) in covers]
+        covers = {v: (v, masks) for v, masks in self._blocks.items()}
+        return list(filter(None, map(covers.get, parts)))
 
     def _first_hit(self, c: int) -> tuple[int, int] | None:
         # First (order position, block of v) whose block B leaves B & c
@@ -499,7 +509,6 @@ def classify(
     table otherwise.
     """
     lat = _Lattice(model, within, cap)
-    stable = set(lat.stable)
     return AncillaryClassification(
         ancillaries=lat.ancillaries,
         maximal=lat.maximal,
@@ -507,7 +516,7 @@ def classify(
         laminal=lat.laminal,
         stable=lat.stable,
         gamma0=gamma0(model, _lattice=lat if lat.k == model.n_samples else None),
-        witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in stable),
+        witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in lat._stable_set),
     )
 
 

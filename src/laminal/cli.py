@@ -168,19 +168,19 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
     labels = model.sample_labels
     mss = mss_partition(model)
     cls = classify(model, mss if args.within_mss else None, cap=args.cap)
+    # Each distinct partition is formatted once: the minimal and stable
+    # ancillaries are the same list, and a via repeats across witnesses.
+    name = functools.cache(functools.partial(format_partition, labels=labels))
     doc = ReportDocument(f"analysis of model {model.name}")
     doc.add("model", _model_table(model))
-    doc.add("minimal sufficient partition", [format_partition(mss, labels)])
+    doc.add("minimal sufficient partition", [name(mss)])
     scope = "coarsenings of the minimal sufficient partition" if args.within_mss \
         else "all partitions of the sample space"
     doc.add("ancillaries", [f"count: {len(cls.ancillaries)} (enumerated over {scope})"])
-    doc.add("maximal ancillaries",
-            [format_partition(p, labels) for p in cls.maximal])
-    doc.add("minimal ancillaries",
-            [format_partition(p, labels) for p in cls.minimal])
-    doc.add("laminal ancillary", [format_partition(cls.laminal, labels)])
-    doc.add("stable ancillaries",
-            [format_partition(p, labels) for p in cls.stable])
+    doc.add("maximal ancillaries", [name(p) for p in cls.maximal])
+    doc.add("minimal ancillaries", [name(p) for p in cls.minimal])
+    doc.add("laminal ancillary", [name(cls.laminal)])
+    doc.add("stable ancillaries", [name(p) for p in cls.stable])
     # Γ0 is sorted by size and every other nonempty event holds a smaller
     # atom, so the atoms are the nonempty events missing every atom before
     # them.  They are not cls.laminal's blocks: Γ0 is always taken over the
@@ -195,8 +195,7 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
         "atoms: " + "; ".join(format_event(e, labels) for e in atoms),
     ])
     witness_lines = [
-        f"{format_partition(w.unstable, labels)}: reweight "
-        f"{format_partition(w.via, labels)} by {fmt_vector(w.weights)}; "
+        f"{name(w.unstable)}: reweight {name(w.via)} by {fmt_vector(w.weights)}; "
         f"block {format_event(w.unstable.blocks[w.block], labels)} gets "
         f"{fmt_q(w.lr[0])} under {model.theta_labels[w.thetas[0]]} vs "
         f"{fmt_q(w.lr[1])} under {model.theta_labels[w.thetas[1]]}"

@@ -6,19 +6,25 @@ that are 1-1 functions of each other induce the same partition.  All
 statistics in this package are therefore represented as partitions over
 indices; label text only appears in reports.
 
-A partition's identity is its restricted growth string: point e goes to
-block ``block_of(e)``, and blocks are numbered in order of their least
-point, so the string starts at 0 and each entry is at most one more than
-the largest before it (Knuth, TAOCP 4A, 7.2.1.5).  Equality and hashing
-read only that flat tuple, so sets of partitions deduplicate
-automatically.  The blocks, sorted by their minimum element with elements
-sorted inside each block, are built from the string on first use and then
-kept.  Everything here is a pure function over immutable values.
+A partition is the tuple of its restricted growth string: item e is the
+block of point e, and blocks are numbered in order of their least point,
+so the string starts at 0 and each entry is at most one more than the
+largest before it (Knuth, TAOCP 4A, 7.2.1.5).  So ``len``, indexing and
+iteration read the string; building and hashing one are tuple operations,
+in C, and sets of partitions deduplicate automatically.  A partition
+equals only a partition, never the plain tuple of its string, and it
+orders by ``sort_key``, not as a tuple.  The blocks, sorted by their
+minimum element with elements sorted inside each block, are a cached
+property: built from the string on first read and then kept, or set at
+birth by code that already has them.  Everything here is a pure function
+over immutable values.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from itertools import chain
 
 from .errors import EmptyInput, GroundSetMismatch, SizeCapExceeded, UnknownSampleLabel
 
@@ -27,12 +33,14 @@ from .errors import EmptyInput, GroundSetMismatch, SizeCapExceeded, UnknownSampl
 DEFAULT_ENUMERATION_CAP = 13
 
 
-class Partition:
-    """An ordered set partition of {0, ..., n-1} with structural equality."""
+class Partition(tuple):
+    """An ordered set partition of {0, ..., n-1}: the tuple of its growth string.
 
-    __slots__ = ("n", "_blocks", "_block_of")
+    Equal only to partitions with the same string; ordered by ``sort_key``;
+    ``blocks`` is cached on first read.
+    """
 
-    def __init__(self, blocks: Iterable[Iterable[int]], n: int | None = None):
+    def __new__(cls, blocks: Iterable[Iterable[int]], n: int | None = None):
         norm = []
         for b in blocks:
             t = tuple(sorted(b))
@@ -49,17 +57,20 @@ class Partition:
         for i, b in enumerate(norm):
             for e in b:
                 block_of[e] = i
-        self.n = n
-        self._blocks = tuple(norm)
-        self._block_of = tuple(block_of)
+        self = tuple.__new__(cls, block_of)
+        self.blocks = tuple(norm)
+        return self
 
     @classmethod
     def _canonical(cls, block_of: tuple[int, ...]) -> "Partition":
         # Trusted constructor: ``block_of`` must already be a restricted
         # growth string; nothing is checked, and no block is built.
-        p = object.__new__(cls)
-        p.n, p._blocks, p._block_of = len(block_of), None, block_of
-        return p
+        return tuple.__new__(cls, block_of)
+
+    def __reduce__(self):
+        # Tuple's own pickling would hand the string to the validating
+        # constructor, which takes blocks.
+        return (self._canonical, (tuple(self),))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -77,24 +88,26 @@ class Partition:
             groups.setdefault(k, []).append(i)
         return cls(groups.values(), len(keys))
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        if self._blocks is None:
-            # Points are visited in order, so each block comes out sorted,
-            # and the blocks in order of their least point.
-            groups: list[list[int]] = [[] for _ in range(self.n_blocks)]
-            for e, i in enumerate(self._block_of):
-                groups[i].append(e)
-            self._blocks = tuple(map(tuple, groups))
-        return self._blocks
+        # Points are visited in order, so each block comes out sorted, and
+        # the blocks in order of their least point.
+        groups: list[list[int]] = [[] for _ in range(self.n_blocks)]
+        for e, i in enumerate(self):
+            groups[i].append(e)
+        return tuple(map(tuple, groups))
+
+    @property
+    def n(self) -> int:
+        return len(self)
 
     @property
     def n_blocks(self) -> int:
-        return max(self._block_of) + 1
+        return max(self) + 1
 
     def block_of(self, element: int) -> int:
         """Index of the block containing ``element``."""
-        return self._block_of[element]
+        return self[element]
 
     def restrict(self, kept: Sequence[int]) -> "Partition":
         """Trace of the partition on ``kept``, reindexed to 0..len(kept)-1.
@@ -111,17 +124,30 @@ class Partition:
         return Partition(blocks, len(kept))
 
     def sort_key(self) -> tuple:
-        return (self.n, self.n_blocks, self.blocks)
+        return (len(self), max(self) + 1, self.blocks)
+
+    # Defining __eq__ would drop the inherited hash, so it is set again.
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other) -> bool:
         # The string's length is n, so equal strings mean equal ground sets.
-        return isinstance(other, Partition) and self._block_of == other._block_of
+        return isinstance(other, Partition) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._block_of)
+    def __ne__(self, other) -> bool:
+        return not isinstance(other, Partition) or tuple.__ne__(self, other)
 
+    # All four, or the ones left out would compare as tuples.
     def __lt__(self, other: "Partition") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "Partition") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "Partition") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "Partition") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __repr__(self) -> str:
         return f"Partition({format_partition(self)!r})"
@@ -135,7 +161,7 @@ def is_coarsening(p: Partition, q: Partition) -> bool:
     """
     if p.n != q.n:
         raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
-    return all(len({p.block_of(e) for e in b}) == 1 for b in q.blocks)
+    return all(len({p[e] for e in b}) == 1 for b in q.blocks)
 
 
 def join(parts: Sequence[Partition]) -> Partition:
@@ -165,9 +191,7 @@ def meet(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement (nonempty pairwise block intersections)."""
     if p.n != q.n:
         raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
-    return Partition.from_assignment(
-        [(p.block_of(i), q.block_of(i)) for i in range(p.n)]
-    )
+    return Partition.from_assignment(list(zip(p, q)))
 
 
 def coarsen(base: Partition, grouping: Partition) -> Partition:
@@ -199,8 +223,8 @@ def enumerate_partitions(
     A growth string ``a`` over the base blocks puts base block i in group
     a[i].  Base blocks come in order of their least points, so mapping each
     point through its base block gives the yielded partition's own growth
-    string: it is canonical by construction, and no block is built unless
-    one is read.
+    string: it is canonical by construction, and it becomes a partition as
+    a tuple does, with no check and no block built unless one is read.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -214,29 +238,32 @@ def enumerate_partitions(
         )
     strings = _growth_strings(size)
     if size < n:  # base block i's points all go to group a[i]
-        point_of = base._block_of
-        strings = (tuple(map(a.__getitem__, point_of)) for a in strings)
-    return map(Partition._canonical, strings)
+        strings = (tuple(map(a.__getitem__, base)) for a in strings)
+    return map(partial(tuple.__new__, Partition), strings)
 
 
 def _growth_strings(size: int) -> Iterator[tuple[int, ...]]:
     # Restricted growth strings of length ``size`` in lexicographic order.
-    # top[i] = max(a[:i + 1]); the last entry runs through its values in the
-    # inner loop, and each outer step moves to the next prefix.
-    a, top, last = [0] * size, [0] * size, size - 1
-    while True:
-        for g in range(top[last - 1] + 2 if last else 1):
-            a[last] = g
-            yield tuple(a)
-        i = last - 1
-        while i > 0 and a[i] > top[i - 1]:
-            i -= 1
-        if i <= 0:
-            return
-        a[i] += 1
-        top[i] = max(top[i - 1], a[i])
-        a[i + 1:last] = [0] * (last - i - 1)
-        top[i + 1:last] = [top[i]] * (last - i - 1)
+    # Each prefix of length size - 2 is followed by its admissible last two
+    # entries, which depend only on the prefix's maximum m (-1 when empty):
+    # x <= m + 1, then y <= max(m, x) + 1, read from one table per m.
+    if size == 1:
+        return iter([(0,)])
+    tails = {m: [(x, y) for x in range(m + 2) for y in range(max(m, x) + 2)]
+             for m in range(-1, size - 2)}
+    return chain.from_iterable([prefix + t for t in tails[m]]
+                               for prefix, m in _prefixes(size - 2))
+
+
+def _prefixes(length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # Each restricted growth string of this length with its maximum, in
+    # lexicographic order, one at a time: extend each shorter one.
+    if length == 0:
+        yield (), -1
+        return
+    for prefix, m in _prefixes(length - 1):
+        for x in range(m + 2):
+            yield prefix + (x,), max(m, x)
 
 
 def format_partition(p: Partition, labels: Sequence[str] | None = None) -> str:

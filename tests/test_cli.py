@@ -4,12 +4,14 @@ import sys
 from fractions import Fraction as F
 from functools import cached_property
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import laminal as L
 from laminal.ancillary import _Lattice
 from laminal.cli import _build_parser, main
+from laminal.corpus import _random_mixture
 
 
 @pytest.fixture()
@@ -216,6 +218,29 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "1,2,3,4|5,6|7,8,9,10,11,12,13,14" in out  # laminal analogue
         assert "reweight" in out  # witness section populated
+
+    def test_witnesses_of_a_ten_point_mixture(self, tmp_path, capsys):
+        # Unrestricted, the witness pass walks all Bell(10) partitions in
+        # enumeration order; the lines were recorded before partitions
+        # became tuples.
+        path = tmp_path / "mix10.model"
+        path.write_text(L.format_model(_random_mixture(Random(401), 2, 10, "mix10")))
+        assert main(["analyze", str(path), "--no-within-mss"]) == 0
+        out = capsys.readouterr().out
+        title = "instability witnesses (one per non-stable ancillary)"
+        section = out[out.index(title):].split("\n")[2:-1]
+        assert section == [
+            "1,2|3,4,5,6,7,8,9,10: reweight 1,3,4,6,7,8,10|2,5,9 by (1, 0); "
+            "block {1,2} gets 2/11 under theta1 vs 0 under theta2",
+            "1,2,3,4,5,6,7,8|9,10: reweight 1,3,4,6,7,8,10|2,5,9 by (1, 0); "
+            "block {1,2,3,4,5,6,7,8} gets 6/11 under theta1 vs 3/11 under theta2",
+            "1,2,9,10|3,4,5,6,7,8: reweight 1,3,4,6,7,8,10|2,5,9 by (1, 0); "
+            "block {1,2,9,10} gets 7/11 under theta1 vs 8/11 under theta2",
+            "1,3,4,6,7,8,10|2,5,9: reweight 1,2,3,4,5,6,7,8|9,10 by (1, 0); "
+            "block {1,3,4,6,7,8,10} gets 9/10 under theta1 vs 9/20 under theta2",
+            "1,2|3,4,5,6,7,8|9,10: reweight 1,3,4,6,7,8,10|2,5,9 by (1, 0); "
+            "block {1,2} gets 2/11 under theta1 vs 0 under theta2",
+        ]
 
 
 class TestEvidence:

@@ -37,6 +37,7 @@ from laminal import (
 )
 from laminal.ancillary import _Lattice
 from laminal.corpus import _random_mixture, audit_corpus, permuted_copy, random_models
+from laminal import partitions
 from laminal.partitions import coarsen
 from laminal.report import fmt_vector
 
@@ -179,6 +180,11 @@ def test_enumeration_matches_the_growth_string_oracle(n, base):
         assert p.sort_key() == q.sort_key()
         assert [p.block_of(e) for e in range(n)] == [q.block_of(e) for e in range(n)]
         assert all(p.block_of(e) == i for i, b in enumerate(p.blocks) for e in b)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_growth_strings_match_the_oracle_past_the_enumeration_sizes(n):
+    assert list(partitions._growth_strings(n)) == list(_growth_strings(n))
 
 
 @pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -53,10 +55,71 @@ class TestConstruction:
         with pytest.raises(ValueError):
             L.Partition(blocks, 3)
 
+    def test_validating_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            L.Partition([[0, 1], []], 2)
+        with pytest.raises(ValueError, match="exactly"):
+            L.Partition([[0, 2], [3]], 4)
+        with pytest.raises(ValueError, match="exactly"):
+            L.Partition([[0], [0, 1]], 2)
+
     def test_restrict(self):
         c2 = bp("1,3,5,6|2,4|7", 7)
         assert c2.restrict((0, 1, 4, 5, 6)).blocks == ((0, 2, 3), (1,), (4,))
         assert c2.restrict((1, 3)).blocks == ((0, 1),)
+
+
+class TestValueSemantics:
+    # A partition is the tuple of its growth string, but it stays a value
+    # of its own: equal only to partitions, ordered by sort_key.
+
+    def test_tuple_items_are_the_growth_string(self):
+        p = bp("1,2|3,4|5,6|7", 7)
+        assert len(p) == p.n == 7
+        assert tuple(p) == (0, 0, 1, 1, 2, 2, 3)
+        assert [p[e] for e in range(7)] == [p.block_of(e) for e in range(7)]
+
+    @pytest.mark.parametrize("copier", [
+        lambda p: pickle.loads(pickle.dumps(p)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips_keep_the_partition(self, copier):
+        for p in (bp("1,3|2,4|5,6|7", 7), L.Partition._canonical((0, 1, 0)),
+                  L.Partition.one_block(1)):
+            q = copier(p)
+            assert type(q) is L.Partition
+            assert q == p and hash(q) == hash(p)
+            assert q.blocks == p.blocks and q.n_blocks == p.n_blocks
+
+    def test_never_equal_to_the_plain_tuple(self):
+        p = bp("1,2|3", 3)
+        s = (0, 0, 1)
+        assert tuple(p) == s and hash(p) == hash(s)
+        assert not p == s and not s == p
+        assert p != s and s != p
+        assert p != [0, 0, 1] and p != "0,0,1"
+        assert len({p, s}) == 2
+
+    def test_order_is_sort_key_not_tuple_order(self):
+        # As tuples (0, 0, 1) < (0, 1, 1); by sort_key both have two blocks
+        # and ((0,), (1, 2)) < ((0, 1), (2,)), so the order is reversed.
+        a = L.Partition._canonical((0, 1, 1))
+        b = L.Partition._canonical((0, 0, 1))
+        assert tuple(b) < tuple(a) and a.sort_key() < b.sort_key()
+        assert a < b and a <= b and not a > b and not a >= b
+        assert b > a and b >= a and not b < a and not b <= a
+        assert a <= a and a >= a and not a < a and not a > a
+        assert sorted([b, a]) == [a, b]
+        assert min(b, a) is a and max(a, b) is b
+
+    def test_sorted_matches_sort_key_on_every_partition_of_four(self):
+        parts = list(L.enumerate_partitions(4))
+        rng = random.Random(7)
+        rng.shuffle(parts)
+        want = sorted(parts, key=L.Partition.sort_key)
+        assert sorted(parts) == want
+        assert min(parts) == want[0] and max(parts) == want[-1]
 
 
 class TestCoarsening:
