@@ -39,8 +39,13 @@ event is a block of some ancillary, a statistic is stable exactly when its
 blocks are conforming: their intersection with every zero-sum event is
 zero-sum.  So stability is one set per lattice, checked once against the
 minimal ancillaries (the structural route), and every stability answer
-reads it; ``is_strong`` re-derives it from conditional models.  Nothing
-is kept between calls, so all functions are pure.
+reads it; ``is_strong`` re-derives it from conditional models.  A witness
+of instability is a point mass on a block B, the first in enumeration
+order, that leaves a block U & B not zero-sum.  It depends on U's block
+alone, so each lattice keeps one witness per non-conforming event, found
+by listing each distinct block B once at its first place in that order,
+and a statistic's witness is the earliest over its blocks.  Nothing is
+kept between calls, so all functions are pure.
 """
 
 from __future__ import annotations
@@ -136,7 +141,6 @@ class _Lattice:
         self.model, self.cap = model, cap
         self.within = Partition.singletons(model.n_samples) if within is None else within
         self.k = self.within.n_blocks
-        self._hits: dict[int, tuple[int, int] | None] = {}
 
     @cached_property
     def zero(self) -> frozenset[int]:
@@ -315,36 +319,54 @@ class _Lattice:
         covers = {v: (v, masks) for v, masks in self._blocks.items()}
         return list(filter(None, map(covers.get, parts)))
 
-    def _first_hit(self, c: int) -> tuple[int, int] | None:
-        # First (order position, block of v) whose block B leaves B & c
-        # not zero-sum, found once per distinct block mask c.
-        if c not in self._hits:
-            zero, order = self.zero, self._enumeration_order
-            self._hits[c] = next(((pos, i) for pos, (_, bs) in enumerate(order)
-                                  for i, b in enumerate(bs) if b & c not in zero), None)
-        return self._hits[c]
+    @cached_property
+    def _witnesses(self) -> dict[int, tuple]:
+        # One entry per non-conforming block mask c: the first (order
+        # position, block of v) whose block B leaves B & c not zero-sum, and
+        # the point mass on B that makes c informative.  A conforming mask
+        # meets every zero-sum event in a zero-sum one, so it has no entry.
+        # Each distinct B is visited once, at its first place in the order,
+        # so the first B that hits c is the first hit of the nested scan.
+        zero, order, rows = self.zero, self._enumeration_order, self._sums
+        first: dict[int, tuple[int, int]] = {}
+        for pos, (_, bs) in enumerate(order):
+            for i, b in enumerate(bs):
+                if b not in first:
+                    first[b] = (pos, i)
+        table, todo = {}, set(zero - self.conforming)
+        for b, (pos, i) in first.items():
+            if not todo:
+                break
+            hit = [c for c in todo if b & c not in zero]
+            if not hit:
+                continue
+            todo.difference_update(hit)
+            v, bs = order[pos]
+            bits = self._bits[b]
+            # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t, a
+            # ratio of integer weights over the common scale S.
+            mass = sum(map(rows[0].__getitem__, bits))
+            weights = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (len(bs) - i - 1)
+            for c in hit:
+                inside = [j for j in bits if c >> j & 1]
+                trace = [sum(map(row.__getitem__, inside)) for row in rows]
+                t = next(t for t, s in enumerate(trace) if s != trace[0])
+                lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
+                table[c] = ((pos, i), v, weights, lr, (0, t))
+        if todo:
+            raise InternalCheckError(f"event {_lift(self.within, todo.pop())} is not "
+                                     "conforming but no block of an ancillary destabilizes it")
+        return table
 
     def witness(self, u: Partition) -> InstabilityWitness | None:
         if self.is_stable(u):
             return None
-        cs = self._blocks[u]
+        table, cs = self._witnesses, self._blocks[u]
         # The first (position, block of v, block of u) in scan order: the
-        # least (hit, block) over u's blocks.
-        hits = [(h, block) for block, c in enumerate(cs)
-                if (h := self._first_hit(c)) is not None]
-        if not hits:
-            raise InternalCheckError(f"{u!r} is unstable but no witness was found")
-        (pos, i), block = min(hits)
-        v, bs = self._enumeration_order[pos]
-        c, bits = cs[block], self._bits[bs[i]]
-        # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t, a
-        # ratio of integer weights over the common scale S.
-        trace = [sum(row[j] for j in bits if c >> j & 1) for row in self._sums]
-        t = next(t for t, s in enumerate(trace) if s != trace[0])
-        mass = sum(self._sums[0][j] for j in bits)
-        weights = tuple(_ONE if x == i else _ZERO for x in range(v.n_blocks))
-        lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
-        return InstabilityWitness(u, v, weights, block, lr, (0, t))
+        # least (hit, block) over u's non-conforming blocks.
+        _, block = min((table[c][0], block) for block, c in enumerate(cs) if c in table)
+        _, v, weights, lr, thetas = table[cs[block]]
+        return InstabilityWitness(u, v, weights, block, lr, thetas)
 
 
 def ancillaries(

@@ -194,13 +194,22 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
         f"algebra of {len(cls.gamma0)} events",
         "atoms: " + "; ".join(format_event(e, labels) for e in atoms),
     ])
-    witness_lines = [
-        f"{name(w.unstable)}: reweight {name(w.via)} by {fmt_vector(w.weights)}; "
-        f"block {format_event(w.unstable.blocks[w.block], labels)} gets "
-        f"{fmt_q(w.lr[0])} under {model.theta_labels[w.thetas[0]]} vs "
-        f"{fmt_q(w.lr[1])} under {model.theta_labels[w.thetas[1]]}"
-        for w in cls.witnesses
-    ]
+    # A witness is a function of the block it destabilizes: via, weights
+    # and ratios are all read off that block (see ancillary._Lattice), so
+    # each line's tail is formatted once per set of block points.
+    tails: dict[tuple[int, ...], str] = {}
+
+    def tail(w) -> str:
+        points = w.unstable.blocks[w.block]
+        if points not in tails:
+            tails[points] = (
+                f"reweight {name(w.via)} by {fmt_vector(w.weights)}; "
+                f"block {format_event(points, labels)} gets "
+                f"{fmt_q(w.lr[0])} under {model.theta_labels[w.thetas[0]]} vs "
+                f"{fmt_q(w.lr[1])} under {model.theta_labels[w.thetas[1]]}")
+        return tails[points]
+
+    witness_lines = [f"{name(w.unstable)}: {tail(w)}" for w in cls.witnesses]
     doc.add("instability witnesses (one per non-stable ancillary)",
             witness_lines or ["none; every ancillary is stable"])
     return doc, 0

@@ -136,21 +136,30 @@ class Partition(tuple):
     def __ne__(self, other) -> bool:
         return not isinstance(other, Partition) or tuple.__ne__(self, other)
 
-    # All four, or the ones left out would compare as tuples.
+    # All four, or the ones left out would compare as tuples.  Each raises
+    # for a non-partition: returning NotImplemented would hand the question
+    # to the plain tuple's reflected method, which answers in tuple order.
     def __lt__(self, other: "Partition") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.sort_key() < _sort_key(other, "<")
 
     def __le__(self, other: "Partition") -> bool:
-        return self.sort_key() <= other.sort_key()
+        return self.sort_key() <= _sort_key(other, "<=")
 
     def __gt__(self, other: "Partition") -> bool:
-        return self.sort_key() > other.sort_key()
+        return self.sort_key() > _sort_key(other, ">")
 
     def __ge__(self, other: "Partition") -> bool:
-        return self.sort_key() >= other.sort_key()
+        return self.sort_key() >= _sort_key(other, ">=")
 
     def __repr__(self) -> str:
         return f"Partition({format_partition(self)!r})"
+
+
+def _sort_key(other: object, op: str) -> tuple:
+    if not isinstance(other, Partition):
+        raise TypeError(f"'{op}' not supported between instances of "
+                        f"'Partition' and '{type(other).__name__}'")
+    return other.sort_key()
 
 
 def is_coarsening(p: Partition, q: Partition) -> bool:
@@ -270,12 +279,13 @@ def format_partition(p: Partition, labels: Sequence[str] | None = None) -> str:
     """Render blocks as label groups: ``1,2,3,4|5,6|7``."""
     if labels is None:
         labels = [str(i) for i in range(p.n)]
-    return "|".join(",".join(labels[e] for e in b) for b in p.blocks)
+    get = labels.__getitem__
+    return "|".join([",".join(map(get, b)) for b in p.blocks])
 
 
 def format_event(event: Iterable[int], labels: Sequence[str]) -> str:
     """Render a set of sample indices as a label group: ``{5,6}``."""
-    return "{" + ",".join(labels[e] for e in sorted(event)) + "}"
+    return "{" + ",".join(map(labels.__getitem__, sorted(event))) + "}"
 
 
 def parse_partition(text: str, labels: Sequence[str]) -> Partition:

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 
@@ -112,6 +113,19 @@ class TestValueSemantics:
         assert a <= a and a >= a and not a < a and not a > a
         assert sorted([b, a]) == [a, b]
         assert min(b, a) is a and max(a, b) is b
+
+    @pytest.mark.parametrize("other", [(0, 1), (0, 0), [0, 0], 3, "0,0"],
+                             ids=["tuple", "own-string", "list", "int", "str"])
+    def test_ordering_against_a_non_partition_raises_type_error(self, other):
+        # A plain tuple would answer a reflected comparison in tuple order.
+        p = L.Partition._canonical((0, 0))
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="not supported between"):
+                op(p, other)
+            with pytest.raises(TypeError, match="not supported between"):
+                op(other, p)
+        with pytest.raises(TypeError, match="not supported between"):
+            sorted([p, other])
 
     def test_sorted_matches_sort_key_on_every_partition_of_four(self):
         parts = list(L.enumerate_partitions(4))

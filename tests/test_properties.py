@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import laminal as L
 from laminal.ancillary import _Lattice
 
+from test_differential import oracle_nested_witness
+
 GRID = st.integers(1, 9)
 
 
@@ -78,6 +80,17 @@ def test_conforming_events_are_the_pairwise_scan(model):
 def test_laminal_of_atoms_is_the_join_of_the_maximals(model):
     for within in (None, L.mss_partition(model)):
         assert L.laminal(model, within) == L.join(L.maximal_ancillaries(model, within))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_witnesses_are_the_nested_scan(model):
+    # Oracle: every block of every ancillary in enumeration order against
+    # every block of the statistic, with no table of first hits.
+    for within in (None, L.mss_partition(model)):
+        lat = _Lattice(model, within)
+        want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
+        assert L.classify(model, within).witnesses == want
 
 
 @st.composite
