@@ -7,28 +7,24 @@ every maximal), and their maximum, the laminal ancillary.
 
 Every answer is read from one table per call: the zero-sum events (equal
 probability under every theta).  Over the model's integer matrix these are
-the subsets whose packed integer weights sum to zero, found by splitting
-the points into two halves, hashing the subset sums of one half and
-looking up the negation of each subset sum of the other (Horowitz and
-Sahni's split-halves table): O(2^(n/2)) work plus the output.  Ancillaries
-are the covers of the sample space by disjoint nonempty zero-sum events.
-The maximal ones are the covers by atoms, the minimal nonempty zero-sum
-events: a block B holding a smaller nonempty zero-sum event S splits into
-S and B - S, both zero-sum, so a cover with a non-atom block is strictly
-refined; and a cover by atoms cannot be, because any refinement would
-split some atom into smaller nonempty zero-sum events.
-An event is conforming (see below) when its intersection with each atom
-is zero-sum: every zero-sum event is a disjoint union of atoms.
-Every atom is a block of some maximal (its complement splits into atoms),
-so their join, the laminal, is the components of overlapping atoms: it
-needs no search, and where the search runs it is re-checked.  It is kept
-as its parts, disjoint masks.  A minimal ancillary coarsens every maximal,
-so their join, and every union of parts is zero-sum, so every coarsening
-of the laminal is ancillary: the minimal ancillaries are the ancillaries
-whose blocks lie in the laminal's algebra (the unions of its parts), and
-Γ0, the conforming events, is compared with that algebra on masks.
-With ``within`` the table is that of the pushforward model on the blocks
-of ``within``, and answers are lifted back to the sample space.
+the subsets whose packed integer weights sum to zero, found with Horowitz
+and Sahni's split-halves table in O(2^(n/2)) work plus the output.  A
+statistic is ancillary exactly when its blocks are in the table, and the
+ancillaries are the covers of the sample space by disjoint nonempty
+zero-sum events.  The maximal ones are the covers by atoms, the minimal
+nonempty zero-sum events, so one search lists both: a block B holding a
+smaller nonempty zero-sum event S splits into S and B - S, so a cover with
+a non-atom block is strictly refined, and a cover by atoms cannot be.
+Every zero-sum event is a disjoint union of atoms, and every atom is a
+block of some maximal (its complement splits into atoms), so their join,
+the laminal, is the components of overlapping atoms: it needs no search,
+and where the search runs it is re-checked.  A minimal ancillary coarsens
+every maximal, so their join, and every union of the laminal's blocks is
+zero-sum, so the minimal ancillaries are the ancillaries whose blocks lie
+in the laminal's algebra (those unions).  With ``within`` the table is that of
+the pushforward model on the blocks of ``within``, a statistic's blocks
+are read through its growth string, and answers are lifted back to the
+sample space.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it
@@ -36,16 +32,17 @@ ancillary.  By linearity, point masses suffice: ancillarity given each
 block B of another ancillary.  P(B) is parameter-free, so that means every
 U & B is zero-sum (U a block of the statistic), and as every zero-sum
 event is a block of some ancillary, a statistic is stable exactly when its
-blocks are conforming: their intersection with every zero-sum event is
-zero-sum.  So stability is one set per lattice, checked once against the
-minimal ancillaries (the structural route), and every stability answer
-reads it; ``is_strong`` re-derives it from conditional models.  A witness
-of instability is a point mass on a block B, the first in enumeration
-order, that leaves a block U & B not zero-sum.  It depends on U's block
-alone, so each lattice keeps one witness per non-conforming event, found
-by listing each distinct block B once at its first place in that order,
-and a statistic's witness is the earliest over its blocks.  Nothing is
-kept between calls, so all functions are pure.
+blocks are conforming: their intersection with every zero-sum event (each
+atom suffices) is zero-sum.  The conforming events are Γ0, and that they
+are the laminal's algebra is the stable = minimal theorem: it is checked
+once per lattice, and every stability answer and Γ0 read the checked set,
+with no search; ``is_strong`` re-derives stability from conditional
+models.  A witness of instability is a point mass on a block B, the first
+in enumeration order, that leaves a block U & B not zero-sum.  It depends
+on U's block alone, so each lattice keeps one witness per non-conforming
+event, found by listing each distinct block B once at its first place in
+that order, and a statistic's witness is the earliest over its blocks.
+Nothing is kept between calls, so all functions are pure.
 """
 
 from __future__ import annotations
@@ -140,6 +137,9 @@ class _Lattice:
                  cap: int = DEFAULT_ENUMERATION_CAP):
         self.model, self.cap = model, cap
         self.within = Partition.singletons(model.n_samples) if within is None else within
+        if self.within.n != model.n_samples:
+            raise GroundSetMismatch(f"partition over {self.within.n} points does not "
+                                    f"match model with {model.n_samples}")
         self.k = self.within.n_blocks
 
     @cached_property
@@ -148,11 +148,6 @@ class _Lattice:
         if self.k > EVENT_SCAN_CAP:
             raise SizeCapExceeded(
                 f"2^{self.k} event scan exceeds the cap of 2^{EVENT_SCAN_CAP}"
-            )
-        n = self.model.n_samples
-        if self.within.n != n:
-            raise GroundSetMismatch(
-                f"partition over {self.within.n} points does not match model with {n}"
             )
         rows = self._sums
         diffs = [[a - b for a, b in zip(row, rows[0])] for row in rows[1:]]
@@ -182,11 +177,6 @@ class _Lattice:
                      for row in self.model.scaled)
 
     @cached_property
-    def _bits(self) -> dict[int, list[int]]:
-        # The blocks of within in each zero-sum event.
-        return {z: [i for i in range(self.k) if z >> i & 1] for z in self.zero}
-
-    @cached_property
     def atoms(self) -> tuple[int, ...]:
         # Scanned by popcount, an event is an atom when it holds no atom found.
         atoms: list[int] = []
@@ -200,18 +190,33 @@ class _Lattice:
         zero = self.zero
         return frozenset(c for c in zero if all(c & a in zero for a in self.atoms))
 
-    @cached_property
-    def _blocks(self) -> dict[Partition, tuple[int, ...]]:
-        # Every ancillary with its block masks.  The search branches on the
-        # lowest uncovered point; what is left uncovered is always zero-sum
-        # (the full set and the covered blocks are), so no branch dead-ends.
+    def _masks(self, u: Partition) -> tuple[int, ...]:
+        # u's block masks, read through within's growth string: they overlap
+        # unless u is a function of within, and are zero-sum if u is ancillary.
+        n = self.model.n_samples
+        if u.n != n:
+            raise GroundSetMismatch(f"partition over {u.n} points does not match model with {n}")
+        masks = [0] * u.n_blocks
+        for j, i in zip(u, self.within):
+            masks[j] |= 1 << i
+        if sum(masks) != (1 << self.k) - 1:
+            raise NotAncillary(f"{u!r} is not a function of the restricting partition")
+        if not self.zero.issuperset(masks):
+            raise NotAncillary(f"{u!r} is not ancillary")
+        return tuple(masks)
+
+    def _search(self, atoms_only: bool) -> dict[Partition, tuple[int, ...]]:
+        # The covers by zero-sum events, or by atoms alone, with their block
+        # masks.  The search branches on the lowest uncovered point; what is
+        # left uncovered is always zero-sum (the full set and the covered
+        # blocks are), so a disjoint union of atoms: no branch dead-ends.
         if self.k > self.cap:
             raise SizeCapExceeded(
                 f"enumeration over {self.k} items exceeds the cap of {self.cap}"
             )
         full = (1 << self.k) - 1
         by_lowest: list[list[int]] = [[] for _ in range(self.k)]
-        for z in sorted(self.zero - {0}):
+        for z in sorted(self.atoms if atoms_only else self.zero - {0}):
             by_lowest[(z & -z).bit_length() - 1].append(z)
         # Covers come out with blocks in order of their lowest point, as the
         # blocks of within are, so the block number of each within block,
@@ -219,7 +224,8 @@ class _Lattice:
         # written on the way down before the full cover reads it.  Each
         # zero-sum event is lifted to its sorted points once, and every
         # cover is born with its blocks, sharing those tuples.
-        bits, group, within, found = self._bits, [0] * self.k, self.within, {}
+        bits = {z: [i for i in range(self.k) if z >> i & 1] for zs in by_lowest for z in zs}
+        group, within, found = [0] * self.k, self.within, {}
         points = {z: tuple(sorted(e for i in bs for e in within.blocks[i]))
                   for z, bs in bits.items()}
 
@@ -240,21 +246,24 @@ class _Lattice:
         return found
 
     @cached_property
+    def _blocks(self) -> dict[Partition, tuple[int, ...]]:
+        return self._search(atoms_only=False)
+
+    @cached_property
     def ancillaries(self) -> tuple[Partition, ...]:
         return tuple(sorted(self._blocks, key=Partition.sort_key))
 
     @cached_property
     def maximal(self) -> tuple[Partition, ...]:
         # Atom rule (see the module docstring): maximals are the covers by atoms.
-        atoms = set(self.atoms)
-        return tuple(p for p in self.ancillaries if atoms.issuperset(self._blocks[p]))
+        return tuple(sorted(self._search(atoms_only=True), key=Partition.sort_key))
 
     @cached_property
     def minimal(self) -> tuple[Partition, ...]:
         # The coarsenings of the laminal (see the module docstring): the
-        # ancillaries whose blocks lie in its algebra, Bell(b) for b parts.
-        lam = self.laminal
-        minimal = tuple(p for p in self.ancillaries if self.algebra.issuperset(self._blocks[p]))
+        # ancillaries whose blocks lie in its algebra, the stable events.
+        lam, events = self.laminal, self.stable_events
+        minimal = tuple(p for p in self.ancillaries if events.issuperset(self._blocks[p]))
         if join(self.maximal) != lam:
             raise InternalCheckError("join of maximal ancillaries is not the laminal")
         if lam not in minimal:
@@ -290,25 +299,23 @@ class _Lattice:
         return frozenset(masks)
 
     @cached_property
-    def stable(self) -> tuple[Partition, ...]:
-        # Definitional route: every block is conforming (point masses and the
-        # U & B lemma).  Structural route: the minimal ancillaries.  Raising on
+    def stable_events(self) -> frozenset[int]:
+        # Definitional route: the conforming events (point masses and the
+        # U & B lemma).  Structural route: the laminal's algebra.  Raising on
         # disagreement turns the theory into a check, made once per lattice.
-        stable = tuple(u for u in self.ancillaries if self.conforming.issuperset(self._blocks[u]))
-        if stable != self.minimal:
-            u = next(u for u in self.ancillaries if (u in stable) != (u in self.minimal))
-            raise InternalCheckError(f"stability routes disagree for {u!r}: "
-                                     f"structural={u in self.minimal}, definitional={u in stable}")
-        return stable
+        conforming, algebra = self.conforming, self.algebra
+        if conforming != algebra:
+            c = min(conforming ^ algebra)
+            raise InternalCheckError(
+                f"stability routes disagree for event {sorted(_lift(self.within, c))}: "
+                f"conforming={c in conforming}, in the laminal's algebra={c in algebra}")
+        return conforming
 
-    @cached_property
-    def _stable_set(self) -> frozenset[Partition]:
-        return frozenset(self.stable)
+    # The ancillaries with every block in stable_events: the minimal ones.
+    stable = property(lambda self: self.minimal)
 
     def is_stable(self, u: Partition) -> bool:
-        if u not in self._blocks:
-            raise NotAncillary(f"{u!r} is not an ancillary of this lattice")
-        return u in self._stable_set
+        return self.stable_events.issuperset(self._masks(u))
 
     @cached_property
     def _enumeration_order(self) -> list[tuple[Partition, tuple[int, ...]]]:
@@ -333,7 +340,7 @@ class _Lattice:
             for i, b in enumerate(bs):
                 if b not in first:
                     first[b] = (pos, i)
-        table, todo = {}, set(zero - self.conforming)
+        table, todo = {}, set(zero - self.stable_events)
         for b, (pos, i) in first.items():
             if not todo:
                 break
@@ -342,7 +349,7 @@ class _Lattice:
                 continue
             todo.difference_update(hit)
             v, bs = order[pos]
-            bits = self._bits[b]
+            bits = [j for j in range(self.k) if b >> j & 1]
             # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t, a
             # ratio of integer weights over the common scale S.
             mass = sum(map(rows[0].__getitem__, bits))
@@ -358,10 +365,11 @@ class _Lattice:
                                      "conforming but no block of an ancillary destabilizes it")
         return table
 
-    def witness(self, u: Partition) -> InstabilityWitness | None:
-        if self.is_stable(u):
+    def witness(self, u: Partition, cs: tuple[int, ...]) -> InstabilityWitness | None:
+        # cs: u's block masks.  A stable statistic needs no witness table.
+        if self.stable_events.issuperset(cs):
             return None
-        table, cs = self._witnesses, self._blocks[u]
+        table = self._witnesses
         # The first (position, block of v, block of u) in scan order: the
         # least (hit, block) over u's non-conforming blocks.
         _, block = min((table[c][0], block) for block, c in enumerate(cs) if c in table)
@@ -412,18 +420,14 @@ def laminal(model: FiniteModel, within: Partition | None = None) -> Partition:
     return _Lattice(model, within).laminal
 
 
-def is_stable(
-    model: FiniteModel, u: Partition, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
+def is_stable(model: FiniteModel, u: Partition) -> bool:
     """True when no reweighting of any other ancillary makes ``u`` informative.
 
-    Read from the lattice's one stable set (every block conforming), which
-    is checked to equal the minimal ancillaries; the call fails loudly if
-    the two disagree anywhere in the lattice.
+    Read from the event table, with no ancillary search: ``u`` is stable
+    when each block is conforming, and the conforming events are checked to
+    be the laminal's algebra, so the call fails loudly if they differ.
     """
-    if ancillary_distribution(model, u) is None:
-        raise NotAncillary("stability is only defined for ancillary statistics")
-    return _Lattice(model, None, cap).is_stable(u)
+    return _Lattice(model, None).is_stable(u)
 
 
 def is_strong(
@@ -435,14 +439,13 @@ def is_strong(
     ancillary in that conditional model, independently of the U & B lemma;
     the result must coincide with ``is_stable``.
     """
-    if ancillary_distribution(model, u) is None:
-        raise NotAncillary("strength is only defined for ancillary statistics")
     lat = _Lattice(model, None, cap)
+    stable = lat.is_stable(u)
     conds = [(condition_on_event(model, b), event_support(model, b)) for b in u.blocks]
     strong = all(
         is_ancillary(c, v.restrict(kept)) for c, kept in conds for v in lat.ancillaries
     )
-    if strong != lat.is_stable(u):
+    if strong != stable:
         raise InternalCheckError(f"strong/stable disagree for {u!r}")
     return strong
 
@@ -458,13 +461,13 @@ def instability_witness(
     Candidates are point masses on each block of each ancillary, the
     ancillaries in enumeration order.  Point masses are complete (an
     unstable statistic always fails in some conditional model), so the
-    search cannot miss.  Returns None when ``u`` is stable.  With
-    ``within`` the decision and the search stay inside that restricted
-    lattice, of which ``u`` must be an ancillary.
+    search cannot miss.  Returns None when ``u`` is stable, read from the
+    table as in ``is_stable``: only an unstable ``u`` searches and meets
+    ``cap``.  With ``within`` the decision and the search stay inside that
+    restricted lattice, of which ``u`` must be an ancillary.
     """
-    if ancillary_distribution(model, u) is None:
-        raise NotAncillary("stability is only defined for ancillary statistics")
-    return _Lattice(model, within, cap).witness(u)
+    lat = _Lattice(model, within, cap)
+    return lat.witness(u, lat._masks(u))
 
 
 def ancillary_events(model: FiniteModel) -> tuple[frozenset[int], ...]:
@@ -485,15 +488,12 @@ def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
 def gamma0(model: FiniteModel, *, _lattice: _Lattice | None = None) -> tuple[frozenset[int], ...]:
     """Ancillary events whose intersection with every ancillary event is ancillary.
 
-    The result is re-checked on every call to coincide, as a set of masks,
-    with the algebra generated by the laminal ancillary's blocks, so it is
-    an algebra.  ``_lattice`` lets ``classify`` hand over the sample-space
-    lattice it has already built.
+    Read from the lattice's stable events, checked to be, as masks, the
+    algebra generated by the laminal's blocks.  ``_lattice`` lets
+    ``classify`` hand over the sample-space lattice it has already built.
     """
     lat = _Lattice(model, None) if _lattice is None else _lattice
-    if lat.conforming != lat.algebra:
-        raise InternalCheckError("conforming-event algebra differs from the laminal algebra")
-    return _events(lat.within, lat.conforming)
+    return _events(lat.within, lat.stable_events)
 
 
 @dataclass(frozen=True)
@@ -538,7 +538,7 @@ def classify(
         laminal=lat.laminal,
         stable=lat.stable,
         gamma0=gamma0(model, _lattice=lat if lat.k == model.n_samples else None),
-        witnesses=tuple(lat.witness(u) for u in lat.ancillaries if u not in lat._stable_set),
+        witnesses=tuple(filter(None, (lat.witness(u, lat._blocks[u]) for u in lat.ancillaries))),
     )
 
 

@@ -127,8 +127,9 @@ class TestStability:
     def test_a_definitional_fault_fails_every_stability_answer(self, ex1, ex1_parts,
                                                                monkeypatch):
         # Treat the full event, always conforming, as non-conforming.  Only
-        # the trivial statistic loses its definitional stability, yet the
-        # one per-lattice check fails every stability answer, naming it.
+        # the trivial statistic, whose one block it is, loses its definitional
+        # stability, yet the one per-lattice check fails every stability
+        # answer, naming that event.
         real = _Lattice.conforming.func
         monkeypatch.setattr(_Lattice, "conforming",
                             property(lambda lat: real(lat) - {(1 << lat.k) - 1}))
@@ -140,7 +141,43 @@ class TestStability:
         )
         for call in calls:
             with pytest.raises(L.InternalCheckError,
-                               match=r"disagree for Partition\('0,1,2,3,4,5,6'\)"):
+                               match=r"disagree for event \[0, 1, 2, 3, 4, 5, 6\]: "
+                                     r"conforming=False, in the laminal's algebra=True$"):
+                call()
+
+    def test_table_answers_run_no_ancillary_search(self, ex1, ex1_parts, monkeypatch):
+        # Ancillarity, stability and the maximals are read off the event
+        # table and its atoms; only an unstable statistic's witness searches.
+        searched = []
+        real = _Lattice._blocks.func
+
+        def counted(lat):
+            searched.append(lat.k)
+            return real(lat)
+
+        prop = cached_property(counted)
+        prop.__set_name__(_Lattice, "_blocks")
+        monkeypatch.setattr(_Lattice, "_blocks", prop)
+        assert L.is_stable(ex1, ex1_parts["L"]) and not L.is_stable(ex1, ex1_parts["C2"])
+        assert set(L.maximal_ancillaries(ex1)) == {ex1_parts["A1"], ex1_parts["A2"]}
+        assert L.instability_witness(ex1, ex1_parts["L"]) is None
+        assert L.instability_witness(ex1, ex1_parts["T"], within=L.mss_partition(ex1)) is None
+        assert searched == []
+        assert L.instability_witness(ex1, ex1_parts["C2"]) is not None
+        assert searched == [7]
+
+    def test_table_answers_past_the_search_cap(self):
+        # One theta: every event is zero-sum, and 16 points are past the
+        # search cap of 13 but within the event table's.
+        n = 16
+        flat = L.build_model(("t",), tuple(str(i) for i in range(n)), [[F(1, n)] * n])
+        lam = L.laminal(flat)
+        assert lam == L.Partition.singletons(n)
+        assert L.is_stable(flat, lam)
+        assert L.instability_witness(flat, lam) is None
+        for call in (lambda: L.ancillaries(flat), lambda: L.maximal_ancillaries(flat),
+                     lambda: L.is_strong(flat, lam)):
+            with pytest.raises(L.SizeCapExceeded, match="enumeration over 16 items"):
                 call()
 
     def test_point_mass_reduction_extends_to_random_weights(self, ex1):

@@ -283,6 +283,10 @@ def test_witness_outside_the_restricted_lattice_is_rejected(one_theta):
 def test_within_over_another_ground_set_is_rejected(ex2):
     with pytest.raises(L.GroundSetMismatch, match="partition over 5 points does not match model with 4"):
         L.ancillaries(ex2, within=L.Partition.singletons(5))
+    # Checked before either cap: 25 blocks exceed both the search's and the
+    # event table's.
+    with pytest.raises(L.GroundSetMismatch, match="partition over 25 points does not match model with 7"):
+        L.ancillaries(L.example1_model(F(1, 100)), within=L.Partition.singletons(25))
 
 
 

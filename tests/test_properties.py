@@ -52,6 +52,34 @@ def integer_models(draw):
     return L.build_model(thetas, tuple(str(j + 1) for j in range(n)), rows, "drawn")
 
 
+@st.composite
+def margin_free_tables(draw):
+    """Two-way tables whose row and column margins do not depend on theta.
+
+    Row t is an integer base plus t times a +-1 rectangle whose rows and
+    columns sum to zero: two rows of the table (or two columns, when it is
+    transposed), over an even number of its columns.  The rows and the
+    columns are crossing ancillaries, so most lattices have witnesses.
+    """
+    (a, b), m = draw(st.sampled_from(((2, 4), (2, 3), (2, 2)))), draw(st.sampled_from((2, 3)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.sample(range(b), 2 * rng.randint(1, b // 2))
+    signs = [1, -1] * (len(cols) // 2)
+    rng.shuffle(signs)
+    step = [[0] * b for _ in range(a)]
+    for j, sign in zip(cols, signs):
+        step[0][j], step[1][j] = sign, -sign
+    # A small base, so that columns often coincide and the mss merges them.
+    base = [[rng.randint(m, m + 3) for _ in range(b)] for _ in range(a)]
+    if draw(st.booleans()):
+        step, base = [list(c) for c in zip(*step)], [list(c) for c in zip(*base)]
+    total = sum(map(sum, base))
+    rows = [[F(x + t * d, total) for xs, ds in zip(base, step) for x, d in zip(xs, ds)]
+            for t in range(m)]
+    thetas = tuple(f"t{t + 1}" for t in range(m))
+    return L.build_model(thetas, tuple(str(j + 1) for j in range(a * b)), rows, "table")
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(integer_models())
 def test_maximal_ancillaries_are_the_pairwise_filter(model):
@@ -91,6 +119,60 @@ def test_witnesses_are_the_nested_scan(model):
         lat = _Lattice(model, within)
         want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
         assert L.classify(model, within).witnesses == want
+
+
+def test_witnesses_are_the_nested_scan_on_margin_free_tables():
+    # As above, on lattices that mostly have witnesses: few drawn
+    # integer_models lattices do.
+    found = []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(margin_free_tables())
+    def check(model):
+        for within in (None, L.mss_partition(model)):
+            lat = _Lattice(model, within)
+            want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
+            assert L.classify(model, within).witnesses == want
+            found.append(bool(want))
+
+    check()
+    assert sum(found) >= 3 * len(found) / 4
+
+
+def check_stability_reads(model):
+    """Stability and witnesses read off the table agree with ``classify``'s search.
+
+    Public ``is_stable`` has no ``within``: it answers in the sample-space
+    lattice, where a function of the mss that is stable among functions of
+    the mss may be unstable, so under the mss the lattice's own reading is
+    compared with the restricted minimals.  The public witness call builds
+    a lattice and, for an unstable statistic, runs its search, so it is
+    made for every stable statistic and the first unstable one; the others
+    read the same lattice's table.
+    """
+    full_minimal = set(L.minimal_ancillaries(model))
+    for within in (None, L.mss_partition(model)):
+        cls, lat = L.classify(model, within), _Lattice(model, within)
+        minimal, witness = set(cls.minimal), {x.unstable: x for x in cls.witnesses}
+        public = minimal | {x.unstable for x in cls.witnesses[:1]}
+        for u in cls.ancillaries:
+            assert lat.is_stable(u) == (u in minimal)
+            assert L.is_stable(model, u) == (u in full_minimal)
+            assert lat.witness(u, lat._masks(u)) == witness.get(u)
+            if u in public:
+                assert L.instability_witness(model, u, within=within) == witness.get(u)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_stability_reads_agree_with_classify(model):
+    check_stability_reads(model)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(margin_free_tables())
+def test_stability_reads_agree_with_classify_on_margin_free_tables(model):
+    check_stability_reads(model)
 
 
 @st.composite
