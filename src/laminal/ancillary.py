@@ -55,15 +55,14 @@ from math import comb
 from .errors import (
     GroundSetMismatch,
     InternalCheckError,
+    ModelError,
     NotAncillary,
     SizeCapExceeded,
-    ZeroProbabilityEvent,
 )
 from .model import (
     FiniteModel,
     ancillary_distribution,
     condition_on_event,
-    event_support,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -426,6 +425,10 @@ def is_stable(model: FiniteModel, u: Partition) -> bool:
     Read from the event table, with no ancillary search: ``u`` is stable
     when each block is conforming, and the conforming events are checked to
     be the laminal's algebra, so the call fails loudly if they differ.
+    It answers in the sample-space lattice only: among functions of a
+    coarser ``within``, where ``analyze`` and ``instability_witness`` answer,
+    the stable statistics are ``classify(model, within).minimal``, which can
+    hold a statistic this call rejects.
     """
     return _Lattice(model, None).is_stable(u)
 
@@ -441,9 +444,9 @@ def is_strong(
     """
     lat = _Lattice(model, None, cap)
     stable = lat.is_stable(u)
-    conds = [(condition_on_event(model, b), event_support(model, b)) for b in u.blocks]
+    conds = [(condition_on_event(model, b), b) for b in u.blocks]
     strong = all(
-        is_ancillary(c, v.restrict(kept)) for c, kept in conds for v in lat.ancillaries
+        is_ancillary(c, v.restrict(b)) for c, b in conds for v in lat.ancillaries
     )
     if strong != stable:
         raise InternalCheckError(f"strong/stable disagree for {u!r}")
@@ -544,8 +547,7 @@ def classify(
 
 def mle(model: FiniteModel, x: int) -> int:
     """Index of the maximum-likelihood theta at ``x``; ties go to the lowest index."""
-    col = model.column(x)
-    return max(range(model.n_thetas), key=lambda t: (col[t], -t))
+    return mle_ties(model, x)[0]
 
 
 def mle_ties(model: FiniteModel, x: int) -> tuple[int, ...]:
@@ -563,19 +565,16 @@ def conditional_mle_table(
     Entry (i, j) is the probability, under theta i and conditionally on the
     given block of ``a``, that the MLE equals theta j.  Rows sum to 1.
     """
-    dist = ancillary_distribution(model, a)
-    if dist is None:
+    if ancillary_distribution(model, a) is None:
         raise NotAncillary("conditional MLE table requires an ancillary statistic")
-    if dist[block] == 0:
-        raise ZeroProbabilityEvent("conditioning block has probability 0")
+    if not 0 <= block < a.n_blocks:
+        raise ModelError(f"block index {block} is out of range for {a.n_blocks} blocks")
     points = a.blocks[block]
-    m = model.n_thetas
     winners = [mle(model, j) for j in points]
     table = []
-    for t in range(m):
-        denom = model.event_prob(t, points)
-        row = [Fraction(0)] * m
-        for j, win in zip(points, winners):
-            row[win] += model.probs[t][j]
-        table.append(tuple(v / denom for v in row))
+    for cond_row in condition_on_event(model, points).probs:
+        row = [_ZERO] * model.n_thetas
+        for p, win in zip(cond_row, winners):
+            row[win] += p
+        table.append(tuple(row))
     return tuple(table)

@@ -42,6 +42,7 @@ from .model import (
     FiniteModel,
     InferenceBase,
     ancillary_distribution,
+    block_probabilities,
     example1_model,
     example2_model,
     mixture_model,
@@ -369,54 +370,40 @@ def _reproduce_example3(doc: ReportDocument, eps: Fraction) -> bool:
         f"to {fmt_vector(EX3_WEIGHTS)}",
     ]
     scenarios = (("original", model), ("reweighted", mix))
-    l_expect = {"original": EX3_L_ORIGINAL, "reweighted": EX3_L_REWEIGHTED}
-    csv_rows = []
-    for scen, m in scenarios:
-        dist = ancillary_distribution(m, lam)
-        free = dist is not None
+    stats = {"L": lam, "C2": c2}
+    # One (theta1 row, theta2 row) table per statistic and scenario, in CSV order.
+    probs = {(stat, scen): block_probabilities(m, p)
+             for stat, p in stats.items() for scen, m in scenarios}
+
+    def block_rows(stat: str, scen: str) -> list[list[str]]:
+        return [[",".join(labels[i] for i in block), fmt_q(p1), fmt_q(p2),
+                 fmt_q(p1 / p2), fmt_decimal(p1 / p2)]
+                for block, p1, p2 in zip(stats[stat].blocks, *probs[stat, scen])]
+
+    for scen, want in (("original", EX3_L_ORIGINAL), ("reweighted", EX3_L_REWEIGHTED)):
+        p1s, p2s = probs["L", scen]
         lines.append(f"L distribution ({scen}): "
-                     + (fmt_vector(dist) if free else "parameter-dependent"))
-        ok &= _check(lines, f"L stays ancillary ({scen})", free)
-        ok &= _check(lines, f"L distribution ({scen})",
-                     free and dist == l_expect[scen])
-        for b, block in enumerate(lam.blocks):
-            p1 = m.event_prob(0, block)
-            p2 = m.event_prob(1, block)
-            csv_rows.append(["L", ",".join(labels[i] for i in block), scen,
-                             fmt_q(p1), fmt_q(p2), fmt_q(p1 / p2),
-                             fmt_decimal(p1 / p2)])
-    c2_expect = {"original": EX3_C2_ORIGINAL, "reweighted": EX3_C2_REWEIGHTED}
-    reweighted_lrs = []
-    for scen, m in scenarios:
-        rows = []
-        scen_ok = True
-        for b, block in enumerate(c2.blocks):
-            p1 = m.event_prob(0, block)
-            p2 = m.event_prob(1, block)
-            lr = p1 / p2
-            want1 = _eval_form(c2_expect[scen]["theta1"][b], eps)
-            want2 = _eval_form(c2_expect[scen]["theta2"][b], eps)
-            scen_ok &= p1 == want1 and p2 == want2
-            if scen == "reweighted":
-                reweighted_lrs.append(lr)
-            rows.append([",".join(labels[i] for i in block),
-                         fmt_q(p1), fmt_q(p2), fmt_q(lr), fmt_decimal(lr)])
-            csv_rows.append(["C2", ",".join(labels[i] for i in block), scen,
-                             fmt_q(p1), fmt_q(p2), fmt_q(lr), fmt_decimal(lr)])
+                     + (fmt_vector(p1s) if p1s == p2s else "parameter-dependent"))
+        ok &= _check(lines, f"L stays ancillary ({scen})", p1s == p2s)
+        ok &= _check(lines, f"L distribution ({scen})", p1s == p2s == want)
+    for scen, forms in (("original", EX3_C2_ORIGINAL), ("reweighted", EX3_C2_REWEIGHTED)):
+        want = tuple(tuple(_eval_form(f, eps) for f in forms[theta])
+                     for theta in ("theta1", "theta2"))
         lines.append(f"C2 block probabilities ({scen}):")
         lines += table_lines(
             ["block", "p_theta1", "p_theta2", "likelihood_ratio", "decimal_lr"],
-            rows)
-        ok &= _check(lines, f"C2 block probabilities ({scen})", scen_ok)
-    informative = any(lr != 1 for lr in reweighted_lrs)
+            block_rows("C2", scen))
+        ok &= _check(lines, f"C2 block probabilities ({scen})", probs["C2", scen] == want)
+    p1s, p2s = probs["C2", "reweighted"]
     ok &= _check(lines, "reweighted C2 is informative (some ratio differs from 1)",
-                 informative)
+                 p1s != p2s)
     doc.add(f"example3 (eps = {fmt_q(eps)}): reweighting a non-stable ancillary",
             lines)
     doc.csv_attachments.append(("figure1.csv", csv_text(
         ["statistic", "block", "scenario", "p_theta1", "p_theta2",
          "likelihood_ratio", "decimal_lr"],
-        csv_rows)))
+        [[stat, row[0], scen, *row[1:]] for stat, scen in probs
+         for row in block_rows(stat, scen)])))
     return ok
 
 

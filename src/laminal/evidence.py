@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .ancillary import laminal, maximal_ancillaries
 from .errors import NotSCEquivalent, ThetaSpaceMismatch
-from .model import InferenceBase, condition_on_event, event_support, format_model
+from .model import InferenceBase, condition_on_event, format_model
 from .partitions import DEFAULT_ENUMERATION_CAP
 from .sufficiency import (
     EvidenceBase,
@@ -139,9 +139,8 @@ def maximal_conditionals(
     out = []
     for a in maximal_ancillaries(ib.model, None, cap):
         block = a.blocks[a.block_of(ib.observed)]
-        kept = event_support(ib.model, block)
         cond = condition_on_event(ib.model, block)
-        out.append(InferenceBase(cond, kept.index(ib.observed)))
+        out.append(InferenceBase(cond, block.index(ib.observed)))
     return tuple(out)
 
 

@@ -59,8 +59,8 @@ def as_rational(value: Fraction | int | str) -> Fraction:
 class FiniteModel:
     """A finite discrete model: labelled rows of exact probabilities.
 
-    ``name`` and ``dropped`` (labels removed by conditioning or zero-weight
-    mixing) are provenance metadata and do not take part in equality.
+    ``name`` and ``dropped`` (labels removed by zero-weight mixing; conditioning
+    removes none) are provenance metadata and do not take part in equality.
     ``scaled`` is ``probs`` over its common denominator S: row t is
     ``probs[t][j] * S`` for each j, so every row sums to S.  It is derived,
     so it takes no part in equality or ``repr`` either.
@@ -224,9 +224,9 @@ def event_support(model: FiniteModel, event: Iterable[int]) -> tuple[int, ...]:
 def condition_on_event(model: FiniteModel, event: Iterable[int]) -> FiniteModel:
     """Restrict to ``event`` and renormalize each row by its own event mass.
 
-    Every theta must give the event positive probability.  Points of the
-    event that are dead in the conditional model are removed and recorded
-    in the result's ``dropped`` metadata.
+    Every theta must give the event positive probability.  A valid model
+    has no point dead under every theta, so every point of the event is
+    kept and ``dropped`` stays empty.
     """
     event = sorted(set(event))
     if any(j < 0 or j >= model.n_samples for j in event):
@@ -235,18 +235,15 @@ def condition_on_event(model: FiniteModel, event: Iterable[int]) -> FiniteModel:
     for lab, mass in zip(model.theta_labels, masses):
         if mass == 0:
             raise ZeroProbabilityEvent(f"event has probability 0 under {lab}")
-    kept = event_support(model, event)
-    dropped = tuple(model.sample_labels[j] for j in event if j not in set(kept))
     rows = tuple(
-        tuple(model.probs[t][j] / masses[t] for j in kept)
+        tuple(model.probs[t][j] / masses[t] for j in event)
         for t in range(model.n_thetas)
     )
     return FiniteModel(
         model.theta_labels,
-        tuple(model.sample_labels[j] for j in kept),
+        tuple(model.sample_labels[j] for j in event),
         rows,
         f"{model.name}_cond",
-        dropped,
     )
 
 

@@ -392,3 +392,9 @@ class TestConditionalMleTable:
     def test_requires_ancillary(self, ex2):
         with pytest.raises(L.NotAncillary):
             L.conditional_mle_table(ex2, L.Partition.singletons(4), 0)
+
+    @pytest.mark.parametrize("block", [-1, -2, 2, 5])
+    def test_block_outside_the_partition_is_rejected(self, ex2, block):
+        # A negative index must not read a block from the end of the list.
+        with pytest.raises(L.ModelError, match=rf"block index {block} .* 2 blocks"):
+            L.conditional_mle_table(ex2, bp("1,2|3,4", 4), block)

@@ -7,9 +7,11 @@ search for ancillaries, stability decided through conditional models, the
 witness search that builds a ``mixture_model`` per point mass, the nested
 witness scan of every ancillary's blocks against every block of the
 statistic, a ``Fraction`` scan over all subsets for the conforming events,
-the Gray-code walk over all 2^k subsets that built the zero-sum table, and
+the Gray-code walk over all 2^k subsets that built the zero-sum table,
 the two per-relation equivalence deciders with the command line's separate
-search for the obstruction reason.
+search for the obstruction reason, conditioning that filtered the event
+down to its live points, and the conditional MLE table that divided by
+each block's mass itself.
 """
 
 import math
@@ -598,3 +600,59 @@ def test_split_halves_table_matches_the_gray_code_scan(model, within_mss):
     within = L.mss_partition(model) if within_mss else None
     assert model.n_samples <= 16
     assert _Lattice(model, within).zero == oracle_zero(model, within)
+
+
+# ---------------------------------------------------------------------------
+# Conditioning: the support-filtering conditioner and the direct-division
+# conditional MLE table, against condition_on_event and the table read off it.
+# ---------------------------------------------------------------------------
+
+
+def oracle_condition_on_event(model, event):
+    """Keep the points of ``event`` alive under some theta; record the rest as dropped."""
+    event = sorted(set(event))
+    masses = [model.event_prob(t, event) for t in range(model.n_thetas)]
+    if 0 in masses:
+        raise L.ZeroProbabilityEvent("event has probability 0")
+    kept = L.event_support(model, event)
+    dropped = tuple(model.sample_labels[j] for j in event if j not in set(kept))
+    rows = tuple(tuple(model.probs[t][j] / masses[t] for j in kept)
+                 for t in range(model.n_thetas))
+    return FiniteModel(model.theta_labels, tuple(model.sample_labels[j] for j in kept),
+                       rows, f"{model.name}_cond", dropped)
+
+
+def oracle_conditional_mle_table(model, a, block):
+    """Each theta's mass on each MLE within the block, divided by the block's mass."""
+    points, m = a.blocks[block], model.n_thetas
+    winners = [max(range(m), key=lambda t: (model.probs[t][j], -t)) for j in points]
+    table = []
+    for t in range(m):
+        row = [F(0)] * m
+        for j, win in zip(points, winners):
+            row[win] += model.probs[t][j]
+        table.append(tuple(v / model.event_prob(t, points) for v in row))
+    return tuple(table)
+
+
+CONDITIONING_MODELS = (
+    [("example1", L.example1_model(F(1, 100))), ("example2", L.example2_model())]
+    + [(f"random-{seed}-{i}", m)
+       for seed in (5, 11) for i, m in enumerate(random_models(seed, 40))]
+)
+
+
+def test_conditioning_matches_the_support_filtering_oracle():
+    partly_dead = 0
+    for name, model in CONDITIONING_MODELS:
+        for a in L.ancillaries(model):
+            for b, block in enumerate(a.blocks):
+                got, want = condition_on_event(model, block), oracle_condition_on_event(model, block)
+                assert (got, got.name) == (want, want.name), (name, a, b)
+                assert got.dropped == want.dropped == (), (name, a, b)
+                assert L.conditional_mle_table(model, a, b) == \
+                    oracle_conditional_mle_table(model, a, b), (name, a, b)
+                partly_dead += any(0 in row for row in got.probs)
+    # Some conditioned blocks hold a point that is dead under some theta but
+    # not under all, which the support filter keeps.
+    assert partly_dead > 0

@@ -121,6 +121,19 @@ def test_witnesses_are_the_nested_scan(model):
         assert L.classify(model, within).witnesses == want
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models(), st.integers(0, 2**32 - 1))
+def test_mixing_over_an_ancillary_keeps_its_conditional_models(model, seed):
+    # The conditionality principle's premise: remixing an ancillary's
+    # positive block weights changes no conditional model given its blocks.
+    rng = random.Random(seed)
+    for v in L.ancillaries(model):
+        raw = [rng.randint(1, 9) for _ in v.blocks]
+        mix = L.mixture_model(model, v, [F(x, sum(raw)) for x in raw])
+        for block in v.blocks:
+            assert L.condition_on_event(mix, block) == L.condition_on_event(model, block)
+
+
 def test_witnesses_are_the_nested_scan_on_margin_free_tables():
     # As above, on lattices that mostly have witnesses: few drawn
     # integer_models lattices do.
