@@ -39,10 +39,11 @@ once per lattice, and every stability answer and Γ0 read the checked set,
 with no search; ``is_strong`` re-derives stability from conditional
 models.  A witness of instability is a point mass on a block B, the first
 in enumeration order, that leaves a block U & B not zero-sum.  It depends
-on U's block alone, so each lattice keeps one witness per non-conforming
+on U's block alone, so each lattice keeps the first hit per non-conforming
 event, found by listing each distinct block B once at its first place in
-that order, and a statistic's witness is the earliest over its blocks.
-Nothing is kept between calls, so all functions are pure.
+that order; a statistic's witness, its point mass built when first read,
+is the earliest over its blocks.  Nothing is kept between calls, so all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ class _Lattice:
             raise GroundSetMismatch(f"partition over {self.within.n} points does not "
                                     f"match model with {model.n_samples}")
         self.k = self.within.n_blocks
+        self._payloads: dict[int, tuple] = {}  # witness payloads, built when read
 
     @cached_property
     def zero(self) -> frozenset[int]:
@@ -326,39 +328,25 @@ class _Lattice:
         return list(filter(None, map(covers.get, parts)))
 
     @cached_property
-    def _witnesses(self) -> dict[int, tuple]:
-        # One entry per non-conforming block mask c: the first (order
-        # position, block of v) whose block B leaves B & c not zero-sum, and
-        # the point mass on B that makes c informative.  A conforming mask
-        # meets every zero-sum event in a zero-sum one, so it has no entry.
-        # Each distinct B is visited once, at its first place in the order,
-        # so the first B that hits c is the first hit of the nested scan.
-        zero, order, rows = self.zero, self._enumeration_order, self._sums
+    def _witnesses(self) -> dict[int, tuple[int, int]]:
+        # One entry per non-conforming block mask c (a conforming one meets
+        # every zero-sum event in a zero-sum one): the first (order position,
+        # block of v) whose block B leaves B & c not zero-sum.  Each distinct
+        # B is visited once, at its first place in the order, so the first B
+        # that hits c is the first hit of the nested scan.
+        zero, order = self.zero, self._enumeration_order
         first: dict[int, tuple[int, int]] = {}
         for pos, (_, bs) in enumerate(order):
             for i, b in enumerate(bs):
                 if b not in first:
                     first[b] = (pos, i)
         table, todo = {}, set(zero - self.stable_events)
-        for b, (pos, i) in first.items():
+        for b, hit in first.items():
             if not todo:
                 break
-            hit = [c for c in todo if b & c not in zero]
-            if not hit:
-                continue
-            todo.difference_update(hit)
-            v, bs = order[pos]
-            bits = [j for j in range(self.k) if b >> j & 1]
-            # Point mass on B: U & B gets P_t(U & B) / P(B) under theta t, a
-            # ratio of integer weights over the common scale S.
-            mass = sum(map(rows[0].__getitem__, bits))
-            weights = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (len(bs) - i - 1)
-            for c in hit:
-                inside = [j for j in bits if c >> j & 1]
-                trace = [sum(map(row.__getitem__, inside)) for row in rows]
-                t = next(t for t, s in enumerate(trace) if s != trace[0])
-                lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
-                table[c] = ((pos, i), v, weights, lr, (0, t))
+            cs = [c for c in todo if b & c not in zero]
+            todo.difference_update(cs)
+            table.update(dict.fromkeys(cs, hit))
         if todo:
             raise InternalCheckError(f"event {_lift(self.within, todo.pop())} is not "
                                      "conforming but no block of an ancillary destabilizes it")
@@ -371,8 +359,21 @@ class _Lattice:
         table = self._witnesses
         # The first (position, block of v, block of u) in scan order: the
         # least (hit, block) over u's non-conforming blocks.
-        _, block = min((table[c][0], block) for block, c in enumerate(cs) if c in table)
-        _, v, weights, lr, thetas = table[cs[block]]
+        hit, block = min((table[c], block) for block, c in enumerate(cs) if c in table)
+        c = cs[block]
+        if c not in self._payloads:
+            # Point mass on B, block i of v (order position pos): U & B gets
+            # P_t(U & B) / P(B), integer weights over the common scale S.
+            (pos, i), rows = hit, self._sums
+            v, bs = self._enumeration_order[pos]
+            bits = [j for j in range(self.k) if bs[i] >> j & 1]
+            mass = sum(map(rows[0].__getitem__, bits))
+            weights = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (len(bs) - i - 1)
+            trace = [sum(row[j] for j in bits if c >> j & 1) for row in rows]
+            t = next(t for t, s in enumerate(trace) if s != trace[0])
+            lr = (Fraction(trace[0], mass), Fraction(trace[t], mass))
+            self._payloads[c] = v, weights, lr, (0, t)
+        v, weights, lr, thetas = self._payloads[c]
         return InstabilityWitness(u, v, weights, block, lr, thetas)
 
 

@@ -13,11 +13,13 @@ largest before it (Knuth, TAOCP 4A, 7.2.1.5).  So ``len``, indexing and
 iteration read the string; building and hashing one are tuple operations,
 in C, and sets of partitions deduplicate automatically.  A partition
 equals only a partition, never the plain tuple of its string, and it
-orders by ``sort_key``, not as a tuple.  The blocks, sorted by their
-minimum element with elements sorted inside each block, are a cached
-property: built from the string on first read and then kept, or set at
-birth by code that already has them.  Everything here is a pure function
-over immutable values.
+orders by ``sort_key``, not as a tuple.  Every partition is numbered by
+first occurrence of its points' keys (``from_assignment``), which is the
+growth string itself; only ``Partition(blocks, n)``, for outside input,
+validates first.  The blocks, sorted by their minimum element with
+elements sorted inside each block, are a cached property: built from the
+string on first read and then kept, or set at birth by code that already
+has them.  Everything here is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -41,25 +43,16 @@ class Partition(tuple):
     """
 
     def __new__(cls, blocks: Iterable[Iterable[int]], n: int | None = None):
-        norm = []
-        for b in blocks:
-            t = tuple(sorted(b))
-            if not t:
-                raise ValueError("partition blocks must be nonempty")
-            norm.append(t)
-        norm.sort(key=lambda b: b[0])
-        elems = sorted(e for b in norm for e in b)
+        blocks = [tuple(b) for b in blocks]
+        if not all(blocks):
+            raise ValueError("partition blocks must be nonempty")
+        elems = sorted(chain.from_iterable(blocks))
         if n is None:
             n = len(elems)
         if n < 1 or elems != list(range(n)):
             raise ValueError(f"blocks must partition range(0, {n}) exactly")
-        block_of = [0] * n
-        for i, b in enumerate(norm):
-            for e in b:
-                block_of[e] = i
-        self = tuple.__new__(cls, block_of)
-        self.blocks = tuple(norm)
-        return self
+        owner = {e: i for i, b in enumerate(blocks) for e in b}
+        return cls.from_assignment(map(owner.__getitem__, range(n)))
 
     @classmethod
     def _canonical(cls, block_of: tuple[int, ...]) -> "Partition":
@@ -74,19 +67,24 @@ class Partition(tuple):
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls(((i,) for i in range(n)), n)
+        return cls.from_assignment(range(n))
 
     @classmethod
     def one_block(cls, n: int) -> "Partition":
-        return cls((range(n),), n)
+        return cls.from_assignment([0] * n)
 
     @classmethod
-    def from_assignment(cls, keys: Sequence[Hashable]) -> "Partition":
-        """Group indices by key value; blocks ordered by first occurrence."""
-        groups: dict[Hashable, list[int]] = {}
-        for i, k in enumerate(keys):
-            groups.setdefault(k, []).append(i)
-        return cls(groups.values(), len(keys))
+    def from_assignment(cls, keys: Iterable[Hashable]) -> "Partition":
+        """Group indices by key value: point i joins the block of ``keys[i]``.
+
+        Blocks are numbered by first occurrence, which is the growth string
+        itself, so nothing is checked and no block is built.
+        """
+        number: dict[Hashable, int] = {}
+        block_of = tuple([number.setdefault(k, len(number)) for k in keys])
+        if not block_of:
+            raise ValueError("blocks must partition range(0, 0) exactly")
+        return cls._canonical(block_of)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -110,18 +108,12 @@ class Partition(tuple):
         return self[element]
 
     def restrict(self, kept: Sequence[int]) -> "Partition":
-        """Trace of the partition on ``kept``, reindexed to 0..len(kept)-1.
-
-        ``kept`` must be strictly increasing original indices; empty traces
-        of blocks disappear.
+        """Trace on ``kept``, distinct original indices in any order: point i
+        is ``kept[i]``, numbered by first occurrence; empty traces disappear.
         """
-        pos = {e: i for i, e in enumerate(kept)}
-        blocks = []
-        for b in self.blocks:
-            t = [pos[e] for e in b if e in pos]
-            if t:
-                blocks.append(t)
-        return Partition(blocks, len(kept))
+        if len(set(kept)) < len(kept) or not set(kept) <= set(range(len(self))):
+            raise ValueError(f"blocks must partition range(0, {len(kept)}) exactly")
+        return Partition.from_assignment([self[e] for e in kept])
 
     def sort_key(self) -> tuple:
         return (len(self), max(self) + 1, self.blocks)
@@ -165,12 +157,12 @@ def _sort_key(other: object, op: str) -> tuple:
 def is_coarsening(p: Partition, q: Partition) -> bool:
     """True when ``p`` is a coarsening of ``q`` (p = h(q) for some h).
 
-    Equivalently every block of ``q`` lies inside a single block of ``p``;
-    the relation is reflexive.
+    Equivalently every block of ``q`` lies inside one block of ``p``: the
+    (q[e], p[e]) pairs number ``q``'s blocks.  The relation is reflexive.
     """
     if p.n != q.n:
         raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
-    return all(len({p[e] for e in b}) == 1 for b in q.blocks)
+    return len(set(zip(q, p))) == q.n_blocks
 
 
 def join(parts: Sequence[Partition]) -> Partition:
@@ -188,11 +180,10 @@ def join(parts: Sequence[Partition]) -> Partition:
             x = parent[x]
         return x
 
-    for p in parts:
-        for b in p.blocks:
-            root = find(b[0])
-            for e in b[1:]:
-                parent[find(e)] = root
+    for p in parts:  # link each point to its block's first point
+        first: dict[int, int] = {}
+        for e, i in enumerate(p):
+            parent[find(e)] = find(first.setdefault(i, e))
     return Partition.from_assignment([find(i) for i in range(n)])
 
 
@@ -200,20 +191,18 @@ def meet(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement (nonempty pairwise block intersections)."""
     if p.n != q.n:
         raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
-    return Partition.from_assignment(list(zip(p, q)))
+    return Partition.from_assignment(zip(p, q))
 
 
 def coarsen(base: Partition, grouping: Partition) -> Partition:
-    """Merge the blocks of ``base`` according to a partition of block indices."""
+    """Merge the blocks of ``base`` according to a partition of block indices.
+
+    Point e goes to group ``grouping[base[e]]``; base blocks first occur in
+    order, so the groups do too and the string is canonical as it stands.
+    """
     if grouping.n != base.n_blocks:
         raise GroundSetMismatch("grouping must partition the base block indices")
-    blocks = []
-    for g in grouping.blocks:
-        merged: list[int] = []
-        for i in g:
-            merged.extend(base.blocks[i])
-        blocks.append(merged)
-    return Partition(blocks, base.n)
+    return Partition._canonical(tuple(map(grouping.__getitem__, base)))
 
 
 def enumerate_partitions(

@@ -10,8 +10,9 @@ statistic, a ``Fraction`` scan over all subsets for the conforming events,
 the Gray-code walk over all 2^k subsets that built the zero-sum table,
 the two per-relation equivalence deciders with the command line's separate
 search for the obstruction reason, conditioning that filtered the event
-down to its live points, and the conditional MLE table that divided by
-each block's mass itself.
+down to its live points, the conditional MLE table that divided by each
+block's mass itself, and the partition constructors that sorted,
+validated and prefilled blocks.
 """
 
 import math
@@ -19,10 +20,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import laminal as L
 from laminal import (
@@ -63,13 +66,13 @@ def _growth_strings(n):
 
 
 def oracle_enumerate_partitions(n, coarser_than=None):
-    """Every partition (or coarsening), rebuilt through the validating constructor."""
+    """Every partition (or coarsening), built through the block-sorting oracles."""
     if coarser_than is None:
         for s in _growth_strings(n):
-            yield L.Partition.from_assignment(s)
+            yield oracle_from_assignment(s)
     else:
         for s in _growth_strings(coarser_than.n_blocks):
-            yield coarsen(coarser_than, L.Partition.from_assignment(s))
+            yield oracle_coarsen(coarser_than, oracle_from_assignment(s))
 
 
 def oracle_ancillaries(model, within):
@@ -656,3 +659,226 @@ def test_conditioning_matches_the_support_filtering_oracle():
     # Some conditioned blocks hold a point that is dead under some theta but
     # not under all, which the support filter keeps.
     assert partly_dead > 0
+
+
+# ---------------------------------------------------------------------------
+# Partition constructors: the block-based ones that sorted, validated and
+# prefilled blocks, against numbering by first occurrence.
+# ---------------------------------------------------------------------------
+
+
+def oracle_partition(blocks, n=None):
+    """The replaced validating constructor: sort the blocks, check, prefill them."""
+    norm = []
+    for b in blocks:
+        t = tuple(sorted(b))
+        if not t:
+            raise ValueError("partition blocks must be nonempty")
+        norm.append(t)
+    norm.sort(key=lambda b: b[0])
+    elems = sorted(e for b in norm for e in b)
+    if n is None:
+        n = len(elems)
+    if n < 1 or elems != list(range(n)):
+        raise ValueError(f"blocks must partition range(0, {n}) exactly")
+    block_of = [0] * n
+    for i, b in enumerate(norm):
+        for e in b:
+            block_of[e] = i
+    self = tuple.__new__(L.Partition, block_of)
+    self.blocks = tuple(norm)
+    return self
+
+
+def oracle_from_assignment(keys):
+    groups = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    return oracle_partition(groups.values(), len(keys))
+
+
+def oracle_restrict(p, kept):
+    pos = {e: i for i, e in enumerate(kept)}
+    blocks = []
+    for b in p.blocks:
+        t = [pos[e] for e in b if e in pos]
+        if t:
+            blocks.append(t)
+    return oracle_partition(blocks, len(kept))
+
+
+def oracle_coarsen(base, grouping):
+    if grouping.n != base.n_blocks:
+        raise L.GroundSetMismatch("grouping must partition the base block indices")
+    blocks = []
+    for g in grouping.blocks:
+        merged = []
+        for i in g:
+            merged.extend(base.blocks[i])
+        blocks.append(merged)
+    return oracle_partition(blocks, base.n)
+
+
+def oracle_is_coarsening(p, q):
+    return all(len({p[e] for e in b}) == 1 for b in q.blocks)
+
+
+def oracle_join(parts):
+    parent = list(range(parts[0].n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in parts:
+        for b in p.blocks:
+            for e in b[1:]:
+                parent[find(e)] = find(b[0])
+    return oracle_from_assignment([find(i) for i in range(parts[0].n)])
+
+
+def same_outcome(new, old, *args):
+    """Both accept with equal strings and blocks, or both raise alike.
+
+    Returns ``"ok"`` or the exception's class name, for coverage counts.
+    """
+    try:
+        want = old(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            new(*args)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return type(exc).__name__
+    got = new(*args)
+    # Numbered by first occurrence, so no blocks are built until read.
+    assert "blocks" not in vars(got)
+    assert (tuple(got), got.blocks) == (tuple(want), want.blocks)
+    return "ok"
+
+
+@st.composite
+def drawn_partitions(draw, n=None):
+    n = draw(st.integers(1, 7)) if n is None else n
+    return L.Partition.from_assignment(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+
+BLOCK_FAULTS = ("none", "n unset", "empty block", "missing point", "repeated point",
+                "n too large", "n too small", "no blocks")
+
+
+@st.composite
+def block_lists(draw):
+    """A drawn partition's blocks, shuffled, with at most one fault planted."""
+    p, fault = draw(drawn_partitions()), draw(st.sampled_from(BLOCK_FAULTS))
+    n, blocks = p.n, draw(st.permutations([draw(st.permutations(b)) for b in p.blocks]))
+    i = draw(st.integers(0, len(blocks) - 1))
+    if fault == "n unset":
+        n = None
+    elif fault == "empty block":
+        blocks.insert(i, [])
+    elif fault == "missing point":
+        blocks[i] = blocks[i][1:]
+    elif fault == "repeated point":
+        blocks[i] = blocks[i] + [draw(st.integers(0, n - 1))]
+    elif fault == "n too large":
+        n += draw(st.integers(1, 2))
+    elif fault == "n too small":
+        n -= draw(st.integers(1, n + 1))
+    elif fault == "no blocks":
+        blocks = []
+    return fault, blocks, n
+
+
+def test_partition_from_blocks_matches_the_block_sorting_oracle():
+    seen = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(block_lists())
+    def check(case):
+        fault, blocks, n = case
+        seen[fault, same_outcome(L.Partition, oracle_partition, blocks, n)] += 1
+
+    check()
+    assert {f for f, out in seen if out == "ok"} == {"none", "n unset"}
+    assert {f for f, out in seen if out == "ValueError"} == set(BLOCK_FAULTS[2:])
+
+
+def test_from_assignment_matches_the_grouping_oracle():
+    seen = Counter()
+    keys = st.one_of(st.integers(0, 3), st.sampled_from("abc"), st.tuples(st.integers(0, 1)))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(keys, max_size=8))
+    def check(ks):
+        seen[same_outcome(L.Partition.from_assignment, oracle_from_assignment, ks)] += 1
+
+    check()
+    assert seen["ok"] > 0 and seen["ValueError"] > 0  # the empty keys
+    assert same_outcome(L.Partition.from_assignment, oracle_from_assignment, [[0]]) == "TypeError"
+
+
+KEPT_FAULTS = ("none", "repeated", "negative", "out of range", "empty")
+
+
+@st.composite
+def restrictions(draw):
+    """A partition and a ``kept`` list in any order, with at most one fault."""
+    p, fault = draw(drawn_partitions()), draw(st.sampled_from(KEPT_FAULTS))
+    kept = draw(st.permutations(range(p.n)))[:draw(st.integers(1, p.n))]
+    i = draw(st.integers(0, len(kept) - 1))
+    if fault == "repeated":
+        kept.insert(draw(st.integers(0, len(kept))), kept[i])
+    elif fault == "negative":
+        kept[i] = -draw(st.integers(1, p.n))
+    elif fault == "out of range":
+        kept[i] = p.n + draw(st.integers(0, 2))
+    elif fault == "empty":
+        kept = []
+    return fault, p, kept
+
+
+def test_restrict_matches_the_trace_oracle():
+    seen = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(restrictions())
+    def check(case):
+        fault, p, kept = case
+        seen[fault, same_outcome(p.restrict, partial(oracle_restrict, p), kept)] += 1
+        if fault == "none":
+            assert p.restrict(kept) == L.Partition.from_assignment([p[e] for e in kept])
+
+    check()
+    assert {f for f, out in seen if out == "ok"} == {"none"}
+    assert {f for f, out in seen if out == "ValueError"} == set(KEPT_FAULTS[1:])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(drawn_partitions(), st.data())
+def test_coarsen_and_the_lattice_operations_match_the_block_oracles(p, data):
+    # coarsen over a grouping of p's blocks, and over a grouping of the
+    # wrong size; meet, join and is_coarsening against a second partition.
+    for size in (p.n_blocks, p.n_blocks + 1):
+        grouping = data.draw(drawn_partitions(size))
+        same_outcome(coarsen, oracle_coarsen, p, grouping)
+    q = data.draw(drawn_partitions(p.n))
+    for r in (L.meet(p, q), join([p, q]), L.Partition.singletons(p.n), L.Partition.one_block(p.n)):
+        assert "blocks" not in vars(r)
+    assert join([p, q]) == oracle_join([p, q])
+    assert L.Partition.singletons(p.n).blocks == oracle_partition([(e,) for e in range(p.n)]).blocks
+    assert L.Partition.one_block(p.n).blocks == (tuple(range(p.n)),)
+    for a, b in ((p, q), (q, p), (p, L.meet(p, q)), (join([p, q]), p), (p, p)):
+        assert L.is_coarsening(a, b) == oracle_is_coarsening(a, b)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_empty_ground_sets_are_still_rejected(n):
+    # The messages differ from the block-based ones here: each names the
+    # empty keys, as from_assignment does.
+    for new, old in ((L.Partition.singletons, lambda: oracle_partition([(i,) for i in range(n)], n)),
+                     (L.Partition.one_block, lambda: oracle_partition([range(n)], n))):
+        with pytest.raises(ValueError):
+            old()
+        with pytest.raises(ValueError, match=r"range\(0, 0\) exactly"):
+            new(n)

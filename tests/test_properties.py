@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import laminal as L
 from laminal.ancillary import _Lattice
+from laminal.corpus import permuted_copy
+from laminal.partitions import coarsen
 
 from test_differential import oracle_nested_witness
 
@@ -300,3 +303,62 @@ def test_both_symmetries_on_models_with_witnesses(model):
         check_theta_order(model, order)
     for _ in range(4):
         check_point_permutation(model, rng.sample(range(model.n_samples), model.n_samples))
+
+
+def test_restricted_lattice_is_the_pushforward_lattice():
+    # analyze's lattice of functions of the mss, and the lattice of the
+    # mss pushforward model (ev_ms's model) lifted through the mss blocks,
+    # are one lattice: every answer agrees.  Each side lists its answers in
+    # its own sort_key order, which lifting need not keep, so the lifted
+    # answers are put back in the sample space's order.
+    coarser, witnesses = [], []
+
+    def check(model):
+        mss = L.mss_partition(model)
+        got, push = L.classify(model, mss), L.classify(L.model_of_statistic(model, mss))
+        lift = partial(coarsen, mss)
+        for field in ("ancillaries", "maximal", "minimal", "stable"):
+            assert getattr(got, field) == tuple(sorted(map(lift, getattr(push, field)))), field
+        assert got.laminal == lift(push.laminal)
+        assert ([(x.unstable, x.via, x.weights, x.block, x.lr, x.thetas) for x in got.witnesses]
+                == sorted((lift(x.unstable), lift(x.via), x.weights, x.block, x.lr, x.thetas)
+                          for x in push.witnesses))
+        coarser.append(mss.n_blocks < mss.n)
+        witnesses.append(len(got.witnesses) if coarser[-1] else 0)
+
+    for strategy in (integer_models(), margin_free_tables()):
+        settings(derandomize=True, database=None, max_examples=100, deadline=None)(
+            given(strategy)(check))()
+    assert sum(coarser) >= len(coarser) // 2 and sum(witnesses) >= 50
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_ev_sc_is_idempotent_at_every_observation(model):
+    for x in range(model.n_samples):
+        assert L.ev_sc_idempotent(L.InferenceBase(model, x))
+
+
+def test_s_equivalence_implies_sc_equivalence():
+    # A permuted copy is related to its base under both relations, and
+    # every pair over the same thetas that s relates, sc relates too.
+    related = []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(integer_models(), integer_models(), st.integers(0, 2**32 - 1))
+    def check(model, other, seed):
+        rng = random.Random(seed)
+        bases = [L.InferenceBase(model, x) for x in range(model.n_samples)]
+        copies = [permuted_copy(ib, rng) for ib in bases]
+        for ib, copy in zip(bases, copies):
+            assert L.s_equivalent(ib, copy) is not None
+            assert L.sc_equivalent(ib, copy) is not None
+        if other.theta_labels == model.theta_labels:
+            bases += [L.InferenceBase(other, x) for x in range(other.n_samples)]
+        for a, b in itertools.combinations(bases + copies, 2):
+            if L.s_equivalent(a, b) is not None:
+                assert L.sc_equivalent(a, b) is not None
+                related.append((a, b))
+
+    check()
+    assert len(related) > 1000
