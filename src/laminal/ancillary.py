@@ -24,7 +24,11 @@ zero-sum, so the minimal ancillaries are the ancillaries whose blocks lie
 in the laminal's algebra (those unions).  With ``within`` the table is that of
 the pushforward model on the blocks of ``within``, a statistic's blocks
 are read through its growth string, and answers are lifted back to the
-sample space.
+sample space.  A lattice lifts each mask it reads (to its blocks of
+``within`` and their sorted points) once, in one memo, and every answer
+shares those tuples: the covers' blocks, Γ0 and the zero-sum events,
+witnesses and error messages.  So the partitions of one lattice share few
+distinct blocks, and a report can name each block once.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it
@@ -42,8 +46,9 @@ in enumeration order, that leaves a block U & B not zero-sum.  It depends
 on U's block alone, so each lattice keeps the first hit per non-conforming
 event, found by listing each distinct block B once at its first place in
 that order; a statistic's witness, its point mass built when first read,
-is the earliest over its blocks.  Nothing is kept between calls, so all
-functions are pure.
+is the earliest over its blocks.  ``classify`` asks for witnesses only
+for the ancillaries outside the checked stable set.  Nothing is kept
+between calls, so all functions are pure.
 """
 
 from __future__ import annotations
@@ -106,17 +111,6 @@ class InstabilityWitness:
             raise ValueError("witness probabilities must differ")
 
 
-def _lift(p: Partition, mask: int) -> list[int]:
-    """Points of the blocks of ``p`` selected by the bits of ``mask``."""
-    return [e for i, b in enumerate(p.blocks) if mask >> i & 1 for e in b]
-
-
-def _events(p: Partition, masks) -> tuple[frozenset[int], ...]:
-    """The lifted events, canonically sorted."""
-    out = (frozenset(_lift(p, z)) for z in masks)
-    return tuple(sorted(out, key=lambda e: (len(e), sorted(e))))
-
-
 def _bell(n: int) -> int:
     """The number of partitions of n items: B(m+1) = sum of C(m, j) B(j)."""
     bells = [1]
@@ -141,7 +135,27 @@ class _Lattice:
             raise GroundSetMismatch(f"partition over {self.within.n} points does not "
                                     f"match model with {model.n_samples}")
         self.k = self.within.n_blocks
+        self._lifted: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # see lift
         self._payloads: dict[int, tuple] = {}  # witness payloads, built when read
+
+    def lift(self, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The blocks of within in mask ``z``, and their points, sorted.
+
+        The one place a mask becomes points: each mask is lifted the first
+        time it is read and kept, so covers, events, witnesses and error
+        messages share its tuples.
+        """
+        lifted = self._lifted.get(z)
+        if lifted is None:
+            bits = tuple([i for i in range(self.k) if z >> i & 1])
+            blocks = self.within.blocks
+            lifted = self._lifted[z] = bits, tuple(sorted([e for i in bits for e in blocks[i]]))
+        return lifted
+
+    def events(self, masks) -> tuple[frozenset[int], ...]:
+        """The lifted events, sorted by size, then by their sorted points."""
+        points = sorted([self.lift(z)[1] for z in masks], key=lambda e: (len(e), e))
+        return tuple(map(frozenset, points))
 
     @cached_property
     def zero(self) -> frozenset[int]:
@@ -216,34 +230,31 @@ class _Lattice:
                 f"enumeration over {self.k} items exceeds the cap of {self.cap}"
             )
         full = (1 << self.k) - 1
-        by_lowest: list[list[int]] = [[] for _ in range(self.k)]
+        by_lowest: list[list[tuple[int, tuple]]] = [[] for _ in range(self.k)]
         for z in sorted(self.atoms if atoms_only else self.zero - {0}):
-            by_lowest[(z & -z).bit_length() - 1].append(z)
+            by_lowest[(z & -z).bit_length() - 1].append((z, self.lift(z)))
         # Covers come out with blocks in order of their lowest point, as the
         # blocks of within are, so the block number of each within block,
         # mapped to points, is the cover's growth string.  Each position is
-        # written on the way down before the full cover reads it.  Each
-        # zero-sum event is lifted to its sorted points once, and every
-        # cover is born with its blocks, sharing those tuples.
-        bits = {z: [i for i in range(self.k) if z >> i & 1] for zs in by_lowest for z in zs}
+        # written on the way down before the full cover reads it.  Only the
+        # candidates are lifted, and every cover is born with its blocks,
+        # the lifted point tuples.
         group, within, found = [0] * self.k, self.within, {}
-        points = {z: tuple(sorted(e for i in bs for e in within.blocks[i]))
-                  for z, bs in bits.items()}
 
-        def extend(covered: int, blocks: tuple[int, ...]) -> None:
+        def extend(covered: int, blocks: tuple[int, ...], points: tuple) -> None:
             if covered == full:
                 v = Partition._canonical(tuple(map(group.__getitem__, within)))
-                v.blocks = tuple(map(points.__getitem__, blocks))
+                v.blocks = points
                 found[v] = blocks
                 return
             free = full & ~covered
-            for z in by_lowest[(free & -free).bit_length() - 1]:
+            for z, (bits, block) in by_lowest[(free & -free).bit_length() - 1]:
                 if not z & covered:
-                    for i in bits[z]:
+                    for i in bits:
                         group[i] = len(blocks)
-                    extend(covered | z, blocks + (z,))
+                    extend(covered | z, blocks + (z,), points + (block,))
 
-        extend(0, ())
+        extend(0, (), ())
         return found
 
     @cached_property
@@ -267,7 +278,9 @@ class _Lattice:
         minimal = tuple(p for p in self.ancillaries if events.issuperset(self._blocks[p]))
         if join(self.maximal) != lam:
             raise InternalCheckError("join of maximal ancillaries is not the laminal")
-        if lam not in minimal:
+        # The same test on the laminal's own masks: the search found it as a
+        # cover by its parts, and they are stable events.
+        if self._blocks.get(lam) != self.parts or not events.issuperset(self.parts):
             raise InternalCheckError("laminal is not among the minimal ancillaries")
         if len(minimal) != _bell(len(self.parts)):
             raise InternalCheckError("a coarsening of the laminal is not ancillary")
@@ -308,7 +321,7 @@ class _Lattice:
         if conforming != algebra:
             c = min(conforming ^ algebra)
             raise InternalCheckError(
-                f"stability routes disagree for event {sorted(_lift(self.within, c))}: "
+                f"stability routes disagree for event {list(self.lift(c)[1])}: "
                 f"conforming={c in conforming}, in the laminal's algebra={c in algebra}")
         return conforming
 
@@ -348,7 +361,7 @@ class _Lattice:
             todo.difference_update(cs)
             table.update(dict.fromkeys(cs, hit))
         if todo:
-            raise InternalCheckError(f"event {_lift(self.within, todo.pop())} is not "
+            raise InternalCheckError(f"event {list(self.lift(todo.pop())[1])} is not "
                                      "conforming but no block of an ancillary destabilizes it")
         return table
 
@@ -366,7 +379,7 @@ class _Lattice:
             # P_t(U & B) / P(B), integer weights over the common scale S.
             (pos, i), rows = hit, self._sums
             v, bs = self._enumeration_order[pos]
-            bits = [j for j in range(self.k) if bs[i] >> j & 1]
+            bits = self.lift(bs[i])[0]
             mass = sum(map(rows[0].__getitem__, bits))
             weights = (_ZERO,) * i + (_ONE,) + (_ZERO,) * (len(bs) - i - 1)
             trace = [sum(row[j] for j in bits if c >> j & 1) for row in rows]
@@ -481,12 +494,15 @@ def ancillary_events(model: FiniteModel) -> tuple[frozenset[int], ...]:
     output), so ``n`` is capped at ``EVENT_SCAN_CAP``.
     """
     lat = _Lattice(model, None)
-    return _events(lat.within, lat.zero)
+    return lat.events(lat.zero)
 
 
 def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
     """All unions of blocks of ``p`` (the algebra it generates)."""
-    return _events(p, range(1 << p.n_blocks))
+    blocks = p.blocks
+    events = [frozenset(e for i, b in enumerate(blocks) if m >> i & 1 for e in b)
+              for m in range(1 << p.n_blocks)]
+    return tuple(sorted(events, key=lambda e: (len(e), sorted(e))))
 
 
 def gamma0(model: FiniteModel, *, _lattice: _Lattice | None = None) -> tuple[frozenset[int], ...]:
@@ -497,7 +513,7 @@ def gamma0(model: FiniteModel, *, _lattice: _Lattice | None = None) -> tuple[fro
     ``classify`` hand over the sample-space lattice it has already built.
     """
     lat = _Lattice(model, None) if _lattice is None else _lattice
-    return _events(lat.within, lat.stable_events)
+    return lat.events(lat.stable_events)
 
 
 @dataclass(frozen=True)
@@ -535,14 +551,18 @@ def classify(
     table otherwise.
     """
     lat = _Lattice(model, within, cap)
+    # The ancillaries first: the search cap is checked before the event table.
+    ancillaries = lat.ancillaries
+    stable = frozenset(lat.stable)
     return AncillaryClassification(
-        ancillaries=lat.ancillaries,
+        ancillaries=ancillaries,
         maximal=lat.maximal,
         minimal=lat.minimal,
         laminal=lat.laminal,
         stable=lat.stable,
         gamma0=gamma0(model, _lattice=lat if lat.k == model.n_samples else None),
-        witnesses=tuple(filter(None, (lat.witness(u, lat._blocks[u]) for u in lat.ancillaries))),
+        # Every ancillary outside the checked stable set has a witness.
+        witnesses=tuple(lat.witness(u, lat._blocks[u]) for u in ancillaries if u not in stable),
     )
 
 

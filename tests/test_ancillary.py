@@ -166,6 +166,36 @@ class TestStability:
         assert L.instability_witness(ex1, ex1_parts["C2"]) is not None
         assert searched == [7]
 
+    def test_classify_lifts_each_mask_once_and_witnesses_only_the_unstable(
+            self, ex1, monkeypatch):
+        # Each lattice lifts a mask to points once and shares it; witnesses
+        # are built for the ancillaries outside the stable set alone.
+        lifted, witnessed = [], []
+        real_lift, real_witness = _Lattice.lift, _Lattice.witness
+
+        def lift(lat, z):
+            if z not in lat._lifted:
+                lifted.append((id(lat), z))
+            return real_lift(lat, z)
+
+        def witness(lat, u, cs):
+            witnessed.append(u)
+            return real_witness(lat, u, cs)
+
+        monkeypatch.setattr(_Lattice, "lift", lift)
+        monkeypatch.setattr(_Lattice, "witness", witness)
+        cls = L.classify(ex1)
+        assert lifted and len(set(lifted)) == len(lifted)
+        assert (len(cls.ancillaries), len(cls.stable)) == (25, 5)
+        assert len(witnessed) == 20 == len(cls.witnesses)
+        assert set(witnessed) == set(cls.ancillaries) - set(cls.stable)
+        # One theta: every one of the Bell(6) = 203 ancillaries is stable.
+        witnessed.clear()
+        flat = L.build_model(("t",), tuple(str(i + 1) for i in range(6)), [[F(1, 6)] * 6])
+        cls = L.classify(flat)
+        assert len(cls.ancillaries) == len(cls.stable) == 203
+        assert witnessed == [] and cls.witnesses == ()
+
     def test_table_answers_past_the_search_cap(self):
         # One theta: every event is zero-sum, and 16 points are past the
         # search cap of 13 but within the event table's.
