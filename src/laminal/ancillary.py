@@ -28,7 +28,12 @@ sample space.  A lattice lifts each mask it reads (to its blocks of
 ``within`` and their sorted points) once, in one memo, and every answer
 shares those tuples: the covers' blocks, Γ0 and the zero-sum events,
 witnesses and error messages.  So the partitions of one lattice share few
-distinct blocks, and a report can name each block once.
+distinct blocks, and a report can name each block once.  The covers are
+sorted by their block tuples, then stably by block count: on one lattice
+that is ``sort_key``'s order, with keys read and compared in C, and
+``sort_key`` is never called.  The stable ancillaries are the minimal
+ones, one tuple, so ``analyze`` names each minimal ancillary once for both
+of its sections.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it
@@ -55,8 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from math import comb
+from operator import attrgetter
 
 from .errors import (
     GroundSetMismatch,
@@ -147,9 +154,13 @@ class _Lattice:
         """
         lifted = self._lifted.get(z)
         if lifted is None:
-            bits = tuple([i for i in range(self.k) if z >> i & 1])
-            blocks = self.within.blocks
-            lifted = self._lifted[z] = bits, tuple(sorted([e for i in bits for e in blocks[i]]))
+            bits, rest = [], z
+            while rest:  # one step per set bit, lowest first
+                low = rest & -rest
+                bits.append(low.bit_length() - 1)
+                rest ^= low
+            points = sorted(chain.from_iterable(map(self.within.blocks.__getitem__, bits)))
+            lifted = self._lifted[z] = tuple(bits), tuple(points)
         return lifted
 
     def events(self, masks) -> tuple[frozenset[int], ...]:
@@ -188,7 +199,7 @@ class _Lattice:
         # Row t, block i: the scaled weight of block i of within under theta t.
         # Every row of model.scaled sums to the same S, so a ratio of two
         # entries is a ratio of probabilities.
-        return tuple(tuple(sum(row[e] for e in b) for b in self.within.blocks)
+        return tuple(tuple([sum(map(row.__getitem__, b)) for b in self.within.blocks])
                      for row in self.model.scaled)
 
     @cached_property
@@ -196,14 +207,18 @@ class _Lattice:
         # Scanned by popcount, an event is an atom when it holds no atom found.
         atoms: list[int] = []
         for z in sorted(self.zero - {0}, key=int.bit_count):
-            if not any(a & z == a for a in atoms):
+            for a in atoms:
+                if a & z == a:
+                    break
+            else:
                 atoms.append(z)
         return tuple(atoms)
 
     @cached_property
     def conforming(self) -> frozenset[int]:
+        # The events that meet each atom in a zero-sum event, one set per atom.
         zero = self.zero
-        return frozenset(c for c in zero if all(c & a in zero for a in self.atoms))
+        return zero.intersection(*[{c for c in zero if c & a in zero} for a in self.atoms])
 
     def _masks(self, u: Partition) -> tuple[int, ...]:
         # u's block masks, read through within's growth string: they overlap
@@ -238,12 +253,14 @@ class _Lattice:
         # mapped to points, is the cover's growth string.  Each position is
         # written on the way down before the full cover reads it.  Only the
         # candidates are lifted, and every cover is born with its blocks,
-        # the lifted point tuples.
+        # the lifted point tuples.  The string is canonical as it stands, so
+        # the partition is built in one call, with no check.
         group, within, found = [0] * self.k, self.within, {}
+        make = partial(tuple.__new__, Partition)
 
         def extend(covered: int, blocks: tuple[int, ...], points: tuple) -> None:
             if covered == full:
-                v = Partition._canonical(tuple(map(group.__getitem__, within)))
+                v = make(map(group.__getitem__, within))
                 v.blocks = points
                 found[v] = blocks
                 return
@@ -261,21 +278,29 @@ class _Lattice:
     def _blocks(self) -> dict[Partition, tuple[int, ...]]:
         return self._search(atoms_only=False)
 
+    @staticmethod
+    def _sorted(covers) -> tuple[Partition, ...]:
+        # Partition order is sort_key, (n, block count, blocks).  Covers of
+        # one lattice share n, so two stable sorts give it, each on a key
+        # read in C: the blocks, then the largest block number.  No record
+        # per cover is built or kept alive for the collector to walk.
+        return tuple(sorted(sorted(covers, key=attrgetter("blocks")), key=max))
+
     @cached_property
     def ancillaries(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self._blocks, key=Partition.sort_key))
+        return self._sorted(self._blocks)
 
     @cached_property
     def maximal(self) -> tuple[Partition, ...]:
         # Atom rule (see the module docstring): maximals are the covers by atoms.
-        return tuple(sorted(self._search(atoms_only=True), key=Partition.sort_key))
+        return self._sorted(self._search(atoms_only=True))
 
     @cached_property
     def minimal(self) -> tuple[Partition, ...]:
         # The coarsenings of the laminal (see the module docstring): the
         # ancillaries whose blocks lie in its algebra, the stable events.
         lam, events = self.laminal, self.stable_events
-        minimal = tuple(p for p in self.ancillaries if events.issuperset(self._blocks[p]))
+        minimal = tuple([p for p in self.ancillaries if events.issuperset(self._blocks[p])])
         if join(self.maximal) != lam:
             raise InternalCheckError("join of maximal ancillaries is not the laminal")
         # The same test on the laminal's own masks: the search found it as a
@@ -372,7 +397,7 @@ class _Lattice:
         table = self._witnesses
         # The first (position, block of v, block of u) in scan order: the
         # least (hit, block) over u's non-conforming blocks.
-        hit, block = min((table[c], block) for block, c in enumerate(cs) if c in table)
+        hit, block = min([(table[c], block) for block, c in enumerate(cs) if c in table])
         c = cs[block]
         if c not in self._payloads:
             # Point mass on B, block i of v (order position pos): U & B gets
@@ -498,7 +523,15 @@ def ancillary_events(model: FiniteModel) -> tuple[frozenset[int], ...]:
 
 
 def algebra_generated_by(p: Partition) -> tuple[frozenset[int], ...]:
-    """All unions of blocks of ``p`` (the algebra it generates)."""
+    """All unions of blocks of ``p`` (the algebra it generates).
+
+    There are 2^(block count) of them, so the block count is capped at
+    ``EVENT_SCAN_CAP``, as the zero-sum event table is.
+    """
+    if p.n_blocks > EVENT_SCAN_CAP:
+        raise SizeCapExceeded(
+            f"2^{p.n_blocks} events in the algebra exceed the cap of 2^{EVENT_SCAN_CAP}"
+        )
     blocks = p.blocks
     events = [frozenset(e for i, b in enumerate(blocks) if m >> i & 1 for e in b)
               for m in range(1 << p.n_blocks)]
@@ -553,7 +586,7 @@ def classify(
     lat = _Lattice(model, within, cap)
     # The ancillaries first: the search cap is checked before the event table.
     ancillaries = lat.ancillaries
-    stable = frozenset(lat.stable)
+    masks, stable_events = map(lat._blocks.__getitem__, ancillaries), lat.stable_events
     return AncillaryClassification(
         ancillaries=ancillaries,
         maximal=lat.maximal,
@@ -561,8 +594,9 @@ def classify(
         laminal=lat.laminal,
         stable=lat.stable,
         gamma0=gamma0(model, _lattice=lat if lat.k == model.n_samples else None),
-        # Every ancillary outside the checked stable set has a witness.
-        witnesses=tuple(lat.witness(u, lat._blocks[u]) for u in ancillaries if u not in stable),
+        # Every ancillary with a block outside the checked stable set has a witness.
+        witnesses=tuple([lat.witness(u, cs) for u, cs in zip(ancillaries, masks)
+                         if not stable_events.issuperset(cs)]),
     )
 
 

@@ -184,9 +184,12 @@ def cmd_analyze(args) -> tuple[ReportDocument, int]:
         else "all partitions of the sample space"
     doc.add("ancillaries", [f"count: {len(cls.ancillaries)} (enumerated over {scope})"])
     doc.add("maximal ancillaries", [name(p) for p in cls.maximal])
-    doc.add("minimal ancillaries", [name(p) for p in cls.minimal])
+    # classify checks stable = minimal and returns one tuple for both, so
+    # the minimal ancillaries are named once for the two sections.
+    minimal = [name(p) for p in cls.minimal]
+    doc.add("minimal ancillaries", minimal)
     doc.add("laminal ancillary", [name(cls.laminal)])
-    doc.add("stable ancillaries", [name(p) for p in cls.stable])
+    doc.add("stable ancillaries", minimal)
     # Γ0 is sorted by size and every other nonempty event holds a smaller
     # atom, so the atoms are the nonempty events missing every atom before
     # them.  They are not cls.laminal's blocks: Γ0 is always taken over the

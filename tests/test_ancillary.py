@@ -196,6 +196,22 @@ class TestStability:
         assert len(cls.ancillaries) == len(cls.stable) == 203
         assert witnessed == [] and cls.witnesses == ()
 
+    def test_classify_sorts_covers_without_sort_key(self, ex1, monkeypatch):
+        # The covers are sorted on keys read in C, their block tuples and
+        # block counts, never through a partition's own order.
+        keyed = []
+        real = L.Partition.sort_key
+
+        def sort_key(p):
+            keyed.append(p)
+            return real(p)
+
+        monkeypatch.setattr(L.Partition, "sort_key", sort_key)
+        assert len(L.classify(ex1).ancillaries) == 25
+        flat = L.build_model(("t",), tuple(str(i + 1) for i in range(6)), [[F(1, 6)] * 6])
+        assert len(L.classify(flat).ancillaries) == 203
+        assert keyed == []
+
     def test_table_answers_past_the_search_cap(self):
         # One theta: every event is zero-sum, and 16 points are past the
         # search cap of 13 but within the event table's.
@@ -322,6 +338,12 @@ class TestEventsAndGamma0:
                              [[F(1, n)] * n])
         with pytest.raises(L.SizeCapExceeded):
             L.ancillary_events(flat)
+
+    def test_algebra_cap(self):
+        # Refused before any event is built: 21 blocks generate 2,097,152.
+        with pytest.raises(L.SizeCapExceeded,
+                           match=r"^2\^21 events in the algebra exceed the cap of 2\^20$"):
+            L.algebra_generated_by(L.Partition.singletons(21))
 
     def test_enumeration_cap_propagates(self):
         n = 14

@@ -7,6 +7,8 @@ search for ancillaries, stability decided through conditional models, the
 witness search that builds a ``mixture_model`` per point mass, the nested
 witness scan of every ancillary's blocks against every block of the
 statistic, a ``Fraction`` scan over all subsets for the conforming events,
+the lattice's ``sort_key`` sort of its covers, bit-by-bit lift and
+generator scans for its atoms and conforming events,
 the Gray-code walk over all 2^k subsets that built the zero-sum table,
 the two per-relation equivalence deciders with the command line's separate
 search for the obstruction reason, conditioning that filtered the event
@@ -603,6 +605,54 @@ def test_split_halves_table_matches_the_gray_code_scan(model, within_mss):
     within = L.mss_partition(model) if within_mss else None
     assert model.n_samples <= 16
     assert _Lattice(model, within).zero == oracle_zero(model, within)
+
+
+# ---------------------------------------------------------------------------
+# The lattice's per-cover and per-event steps against the Python-level code
+# that built-in operations replaced: the sort of the covers by
+# ``Partition.sort_key``, the lift that tests every bit, the ``any`` scan for
+# the atoms and the ``all`` generator for the conforming events.
+# ---------------------------------------------------------------------------
+
+
+def oracle_lift(lat, z):
+    """The blocks of within in mask ``z``, one test per bit, and their sorted points."""
+    bits = tuple([i for i in range(lat.k) if z >> i & 1])
+    blocks = lat.within.blocks
+    return bits, tuple(sorted([e for i in bits for e in blocks[i]]))
+
+
+def oracle_atoms(zero):
+    """Scanned by popcount, an event is an atom when it holds no atom found."""
+    atoms = []
+    for z in sorted(zero - {0}, key=int.bit_count):
+        if not any(a & z == a for a in atoms):
+            atoms.append(z)
+    return tuple(atoms)
+
+
+def oracle_conforming(zero, atoms):
+    return frozenset(c for c in zero if all(c & a in zero for a in atoms))
+
+
+def check_lattice_steps(model):
+    """Each step of both lattices of ``model`` equals its oracle: the same
+    tuples in the same order, and the same sets."""
+    for within in (None, L.mss_partition(model)):
+        lat = _Lattice(model, within)
+        assert lat.ancillaries == tuple(sorted(lat._blocks, key=L.Partition.sort_key))
+        assert lat.maximal == tuple(sorted(lat._search(atoms_only=True), key=L.Partition.sort_key))
+        zero = lat.zero
+        assert lat.atoms == oracle_atoms(zero)
+        assert lat.conforming == oracle_conforming(zero, lat.atoms)
+        for z in zero:
+            assert lat.lift(z) == oracle_lift(lat, z)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_lattice_steps_match_the_replaced_scans(seed):
+    for model in random_models(seed, 40):
+        check_lattice_steps(model)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from laminal.ancillary import _Lattice
 from laminal.corpus import permuted_copy
 from laminal.partitions import coarsen
 
-from test_differential import oracle_nested_witness
+from test_differential import check_lattice_steps, oracle_nested_witness
 
 GRID = st.integers(1, 9)
 
@@ -153,6 +153,18 @@ def test_witnesses_are_the_nested_scan_on_margin_free_tables():
 
     check()
     assert sum(found) >= 3 * len(found) / 4
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(integer_models())
+def test_lattice_steps_match_the_replaced_scans(model):
+    check_lattice_steps(model)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(margin_free_tables())
+def test_lattice_steps_match_the_replaced_scans_on_margin_free_tables(model):
+    check_lattice_steps(model)
 
 
 def check_stability_reads(model):
