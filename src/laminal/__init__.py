@@ -63,7 +63,6 @@ from .model import (
     block_probabilities,
     build_model,
     condition_on_event,
-    event_support,
     example1_model,
     example2_model,
     format_model,

@@ -28,12 +28,14 @@ sample space.  A lattice lifts each mask it reads (to its blocks of
 ``within`` and their sorted points) once, in one memo, and every answer
 shares those tuples: the covers' blocks, Γ0 and the zero-sum events,
 witnesses and error messages.  So the partitions of one lattice share few
-distinct blocks, and a report can name each block once.  The covers are
-sorted by their block tuples, then stably by block count: on one lattice
-that is ``sort_key``'s order, with keys read and compared in C, and
-``sort_key`` is never called.  The stable ancillaries are the minimal
-ones, one tuple, so ``analyze`` names each minimal ancillary once for both
-of its sections.
+distinct blocks, and a report can name each block once.  Each cover is
+built from its growth string by ``Partition._canonical``, the one trusted
+constructor.  The covers are sorted by their block tuples, then stably by
+block count: on one lattice that is ``sort_key``'s order, with keys read
+and compared in C, and ``sort_key`` is never called.  The stable
+ancillaries are the minimal ones: ``AncillaryClassification.stable`` is a
+property that returns the ``minimal`` tuple, so ``analyze`` names each
+minimal ancillary once for both of its sections.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from math import comb
 from operator import attrgetter
@@ -254,9 +256,9 @@ class _Lattice:
         # written on the way down before the full cover reads it.  Only the
         # candidates are lifted, and every cover is born with its blocks,
         # the lifted point tuples.  The string is canonical as it stands, so
-        # the partition is built in one call, with no check.
+        # the partition is built by the trusted constructor, with no check.
         group, within, found = [0] * self.k, self.within, {}
-        make = partial(tuple.__new__, Partition)
+        make = Partition._canonical
 
         def extend(covered: int, blocks: tuple[int, ...], points: tuple) -> None:
             if covered == full:
@@ -349,9 +351,6 @@ class _Lattice:
                 f"stability routes disagree for event {list(self.lift(c)[1])}: "
                 f"conforming={c in conforming}, in the laminal's algebra={c in algebra}")
         return conforming
-
-    # The ancillaries with every block in stable_events: the minimal ones.
-    stable = property(lambda self: self.minimal)
 
     def is_stable(self, u: Partition) -> bool:
         return self.stable_events.issuperset(self._masks(u))
@@ -563,9 +562,13 @@ class AncillaryClassification:
     maximal: tuple[Partition, ...]
     minimal: tuple[Partition, ...]
     laminal: Partition
-    stable: tuple[Partition, ...]
     gamma0: tuple[frozenset[int], ...]
     witnesses: tuple[InstabilityWitness, ...]
+
+    @property
+    def stable(self) -> tuple[Partition, ...]:
+        """The stable ancillaries: ``minimal`` itself, checked equal on every call."""
+        return self.minimal
 
 
 def classify(
@@ -592,7 +595,6 @@ def classify(
         maximal=lat.maximal,
         minimal=lat.minimal,
         laminal=lat.laminal,
-        stable=lat.stable,
         gamma0=gamma0(model, _lattice=lat if lat.k == model.n_samples else None),
         # Every ancillary with a block outside the checked stable set has a witness.
         witnesses=tuple([lat.witness(u, cs) for u, cs in zip(ancillaries, masks)

@@ -90,8 +90,8 @@ EX2_MLE_TABLE = (
 )
 
 EX3_WEIGHTS = (F(7, 100), F(13, 100), F(27, 100), F(53, 100))
-EX3_A1 = "1,2|3,4|5,6|7"
-EX3_L = "1,2,3,4|5,6|7"
+EX3_A1 = EX1_MAXIMAL[0]
+EX3_L = EX1_LAMINAL
 EX3_C2 = "1,3,5,6|2,4|7"
 EX3_L_ORIGINAL = (F(1, 2), F(3, 14), F(2, 7))
 EX3_L_REWEIGHTED = (F(1, 5), F(27, 100), F(53, 100))

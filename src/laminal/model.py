@@ -132,7 +132,7 @@ def build_model(
     name: str = "model",
 ) -> FiniteModel:
     """Validate and build a model from any exact-rational matrix input."""
-    return FiniteModel(tuple(theta_labels), tuple(sample_labels), tuple(map(tuple, probs)), name)
+    return FiniteModel(theta_labels, sample_labels, probs, name)
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,7 @@ class InferenceBase:
         return self.model.sample_labels[self.observed]
 
 
-def example1_model(
-    eps: Fraction | int | str,
-    allow_degenerate: bool = False,
-    name: str = "example1",
-) -> FiniteModel:
+def example1_model(eps: Fraction | int | str, allow_degenerate: bool = False) -> FiniteModel:
     """Built-in 2x7 model whose first four points carry an eps perturbation.
 
     Valid for 0 < eps < 1/64 (the smallest entry stays positive).  eps = 0
@@ -176,11 +172,11 @@ def example1_model(
         ("theta1", "theta2"),
         tuple(str(i) for i in range(1, 8)),
         (row1, row2),
-        name,
+        "example1",
     )
 
 
-def example2_model(name: str = "example2") -> FiniteModel:
+def example2_model() -> FiniteModel:
     """Built-in 2x4 model with two crossing maximal ancillaries."""
     f = Fraction
     return FiniteModel(
@@ -188,7 +184,7 @@ def example2_model(name: str = "example2") -> FiniteModel:
         ("1", "2", "3", "4"),
         ((f(1, 6), f(1, 6), f(2, 6), f(2, 6)),
          (f(1, 12), f(3, 12), f(5, 12), f(3, 12))),
-        name,
+        "example2",
     )
 
 
@@ -211,14 +207,6 @@ def ancillary_distribution(model: FiniteModel, p: Partition) -> tuple[Fraction, 
     if any(row != first for row in rows[1:]):
         return None
     return first
-
-
-def event_support(model: FiniteModel, event: Iterable[int]) -> tuple[int, ...]:
-    """Sample indices of ``event`` that are alive under at least one theta."""
-    return tuple(
-        j for j in sorted(set(event))
-        if any(row[j] > 0 for row in model.probs)
-    )
 
 
 def condition_on_event(model: FiniteModel, event: Iterable[int]) -> FiniteModel:

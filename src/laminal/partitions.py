@@ -16,7 +16,9 @@ equals only a partition, never the plain tuple of its string, and it
 orders by ``sort_key``, not as a tuple.  Every partition is numbered by
 first occurrence of its points' keys (``from_assignment``), which is the
 growth string itself; only ``Partition(blocks, n)``, for outside input,
-validates first.  The blocks, sorted by their minimum element with
+validates first.  Code that already holds a growth string builds through
+the one trusted constructor, ``Partition._canonical``, which checks
+nothing.  The blocks, sorted by their minimum element with
 elements sorted inside each block, are a cached property: built from the
 string on first read and then kept, or set at birth by code that already
 has them.  Everything here is a pure function over immutable values.
@@ -53,12 +55,6 @@ class Partition(tuple):
             raise ValueError(f"blocks must partition range(0, {n}) exactly")
         owner = {e: i for i, b in enumerate(blocks) for e in b}
         return cls.from_assignment(map(owner.__getitem__, range(n)))
-
-    @classmethod
-    def _canonical(cls, block_of: tuple[int, ...]) -> "Partition":
-        # Trusted constructor: ``block_of`` must already be a restricted
-        # growth string; nothing is checked, and no block is built.
-        return tuple.__new__(cls, block_of)
 
     def __reduce__(self):
         # Tuple's own pickling would hand the string to the validating
@@ -145,6 +141,12 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({format_partition(self)!r})"
+
+
+# The one trusted constructor: its argument must already be a restricted
+# growth string; nothing is checked, and no block is built.  A partial of
+# tuple.__new__ is called in C and pickles by reference.
+Partition._canonical = partial(tuple.__new__, Partition)
 
 
 def _sort_key(other: object, op: str) -> tuple:
@@ -237,7 +239,7 @@ def enumerate_partitions(
     strings = _growth_strings(size)
     if size < n:  # base block i's points all go to group a[i]
         strings = (tuple(map(a.__getitem__, base)) for a in strings)
-    return map(partial(tuple.__new__, Partition), strings)
+    return map(Partition._canonical, strings)
 
 
 def _growth_strings(size: int) -> Iterator[tuple[int, ...]]:

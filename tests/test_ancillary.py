@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction as F
 from functools import cached_property, reduce
+from pathlib import Path
 
 import pytest
 
@@ -238,7 +240,7 @@ class TestStability:
                 ok_all = all(
                     L.is_ancillary(
                         L.condition_on_event(ex1, block),
-                        u.restrict(L.event_support(ex1, block)),
+                        u.restrict(block),
                     )
                     for block in v.blocks
                 )
@@ -361,7 +363,7 @@ class TestClassify:
         assert set(cls.minimal) == {ex1_parts[k] for k in ("T", "B1", "B2", "B3", "L")}
         assert set(cls.maximal) == {ex1_parts["A1"], ex1_parts["A2"]}
         assert cls.laminal == ex1_parts["L"]
-        assert cls.stable == cls.minimal
+        assert cls.stable is cls.minimal
         within = L.classify(ex1, within=L.mss_partition(ex1))
         assert within.minimal == cls.minimal
 
@@ -404,6 +406,35 @@ class TestClassify:
             cls = L.classify(model, within)
             assert len(calls) == count
             assert cls.gamma0 == L.gamma0(model)
+
+
+class TestCrossChecks:
+    def test_a_search_without_the_laminal_fails_the_minimal_check(self, ex1, monkeypatch):
+        # The laminal is read off the atoms; a search that misses its cover
+        # must fail on the laminal, before the Bell(b) count would.
+        real = _Lattice._blocks.func
+
+        def without_laminal(lat):
+            blocks = real(lat)
+            del blocks[lat.laminal]
+            return blocks
+
+        prop = cached_property(without_laminal)
+        prop.__set_name__(_Lattice, "_blocks")
+        monkeypatch.setattr(_Lattice, "_blocks", prop)
+        for call in (lambda: L.classify(ex1), lambda: L.minimal_ancillaries(ex1)):
+            with pytest.raises(L.InternalCheckError,
+                               match="^laminal is not among the minimal ancillaries$"):
+                call()
+
+    def test_no_cross_check_is_an_assert(self):
+        # python -O strips assert statements, and the cross-checks must run
+        # on every call, so the package raises InternalCheckError instead.
+        paths = sorted(Path(L.__file__).parent.glob("*.py"))
+        found = [f"{path.name}:{node.lineno}" for path in paths
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert paths and found == [], f"assert statements in laminal: {found}"
 
 
 class TestMle:

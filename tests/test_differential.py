@@ -88,8 +88,9 @@ def oracle_is_stable(model, anc, u, conditionals):
     for v in anc:
         for block in v.blocks:
             if block not in conditionals:
-                conditionals[block] = (L.condition_on_event(model, block),
-                                       L.event_support(model, block))
+                # Keep the points of the block alive under some theta.
+                kept = [j for j in block if any(row[j] > 0 for row in model.probs)]
+                conditionals[block] = (L.condition_on_event(model, block), kept)
             cond, kept = conditionals[block]
             if not L.is_ancillary(cond, u.restrict(kept)):
                 return False
@@ -269,13 +270,36 @@ def oracle_nested_witness(lat, u):
     raise L.InternalCheckError(f"{u!r} is unstable but no witness was found")
 
 
+def check_witness_order(lat):
+    """The two facts that let a sort replace the Bell(n) witness-order pass.
+
+    The pass lists the covers in the order of their plain growth-string
+    tuples, and every first hit in the witness table is block 0 of a
+    two-block cover (S, A): A is the first atom missing bit 0, atoms taken
+    in ascending order of their indicator tuples over the blocks of within,
+    whose intersection with the event is not zero-sum.  Returns the number
+    of table entries checked.
+    """
+    order = lat._enumeration_order
+    assert [v for v, _ in order] == sorted(lat._blocks, key=tuple)
+    full, zero = (1 << lat.k) - 1, lat.zero
+    atoms = sorted([a for a in lat.atoms if not a & 1],
+                   key=lambda a: [a >> i & 1 for i in range(lat.k)])
+    for c, (pos, i) in lat._witnesses.items():
+        a = next(a for a in atoms if a & c not in zero)
+        assert (i, order[pos][1]) == (0, (full & ~a, a)), list(lat.lift(c)[1])
+    return len(lat._witnesses)
+
+
 @pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])
 @pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
 def test_witnesses_match_the_nested_scan(model, within_mss):
     within = L.mss_partition(model) if within_mss else None
     lat = _Lattice(model, within)
-    want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
+    want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.minimal)
     assert L.classify(model, within).witnesses == want
+    # A lattice has an unstable ancillary exactly when its table has an entry.
+    assert bool(check_witness_order(lat)) == bool(want)
 
 
 def test_witness_outside_the_restricted_lattice_is_rejected(one_theta):
@@ -667,7 +691,7 @@ def oracle_condition_on_event(model, event):
     masses = [model.event_prob(t, event) for t in range(model.n_thetas)]
     if 0 in masses:
         raise L.ZeroProbabilityEvent("event has probability 0")
-    kept = L.event_support(model, event)
+    kept = [j for j in event if any(row[j] > 0 for row in model.probs)]
     dropped = tuple(model.sample_labels[j] for j in event if j not in set(kept))
     rows = tuple(tuple(model.probs[t][j] / masses[t] for j in kept)
                  for t in range(model.n_thetas))

@@ -147,8 +147,7 @@ class TestConditioning:
         inner = (0, 1)
         once = L.condition_on_event(ex1, inner)
         step = L.condition_on_event(ex1, outer)
-        kept = L.event_support(ex1, outer)
-        remapped = [kept.index(j) for j in inner]
+        remapped = [outer.index(j) for j in inner]
         twice = L.condition_on_event(step, remapped)
         assert twice == once
 

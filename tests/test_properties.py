@@ -14,7 +14,7 @@ from laminal.ancillary import _Lattice
 from laminal.corpus import permuted_copy
 from laminal.partitions import coarsen
 
-from test_differential import check_lattice_steps, oracle_nested_witness
+from test_differential import check_lattice_steps, check_witness_order, oracle_nested_witness
 
 GRID = st.integers(1, 9)
 
@@ -120,8 +120,9 @@ def test_witnesses_are_the_nested_scan(model):
     # every block of the statistic, with no table of first hits.
     for within in (None, L.mss_partition(model)):
         lat = _Lattice(model, within)
-        want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
+        want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.minimal)
         assert L.classify(model, within).witnesses == want
+        check_witness_order(lat)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -147,8 +148,9 @@ def test_witnesses_are_the_nested_scan_on_margin_free_tables():
     def check(model):
         for within in (None, L.mss_partition(model)):
             lat = _Lattice(model, within)
-            want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.stable)
+            want = tuple(oracle_nested_witness(lat, u) for u in lat.ancillaries if u not in lat.minimal)
             assert L.classify(model, within).witnesses == want
+            check_witness_order(lat)
             found.append(bool(want))
 
     check()
