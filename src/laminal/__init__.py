@@ -61,7 +61,6 @@ from .model import (
     InferenceBase,
     ancillary_distribution,
     block_probabilities,
-    build_model,
     condition_on_event,
     example1_model,
     example2_model,

@@ -90,8 +90,6 @@ EX2_MLE_TABLE = (
 )
 
 EX3_WEIGHTS = (F(7, 100), F(13, 100), F(27, 100), F(53, 100))
-EX3_A1 = EX1_MAXIMAL[0]
-EX3_L = EX1_LAMINAL
 EX3_C2 = "1,3,5,6|2,4|7"
 EX3_L_ORIGINAL = (F(1, 2), F(3, 14), F(2, 7))
 EX3_L_REWEIGHTED = (F(1, 5), F(27, 100), F(53, 100))
@@ -368,13 +366,13 @@ def _reproduce_example2(doc: ReportDocument) -> bool:
 def _reproduce_example3(doc: ReportDocument, eps: Fraction) -> bool:
     model = example1_model(eps)
     labels = model.sample_labels
-    a1 = parse_partition(EX3_A1, labels)
-    lam = parse_partition(EX3_L, labels)
+    a1 = parse_partition(EX1_MAXIMAL[0], labels)
+    lam = parse_partition(EX1_LAMINAL, labels)
     c2 = parse_partition(EX3_C2, labels)
     mix = mixture_model(model, a1, EX3_WEIGHTS)
     ok = True
     lines = [
-        f"reweighting {EX3_A1} from {fmt_vector(ancillary_distribution(model, a1))} "
+        f"reweighting {EX1_MAXIMAL[0]} from {fmt_vector(ancillary_distribution(model, a1))} "
         f"to {fmt_vector(EX3_WEIGHTS)}",
     ]
     scenarios = (("original", model), ("reweighted", mix))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .model import FiniteModel, InferenceBase, build_model, example1_model, example2_model
+from .model import FiniteModel, InferenceBase, example1_model, example2_model
 
 _GRID = 6  # numerators are drawn from 0..6 before row normalization
 
@@ -37,7 +37,7 @@ def _random_generic(rng: random.Random, m: int, n: int, name: str) -> FiniteMode
     ]
     labels = tuple(str(i + 1) for i in range(n))
     thetas = tuple(f"theta{i + 1}" for i in range(m))
-    return build_model(thetas, labels, probs, name)
+    return FiniteModel(thetas, labels, probs, name)
 
 
 def _random_mixture(rng: random.Random, m: int, n: int, name: str) -> FiniteModel:
@@ -57,7 +57,7 @@ def _random_mixture(rng: random.Random, m: int, n: int, name: str) -> FiniteMode
             probs[t].extend(weights[b] * Fraction(v, s) for v in block_rows[t])
     labels = tuple(str(i + 1) for i in range(n))
     thetas = tuple(f"theta{i + 1}" for i in range(m))
-    return build_model(thetas, labels, probs, name)
+    return FiniteModel(thetas, labels, probs, name)
 
 
 def random_model(rng: random.Random, index: int = 0) -> FiniteModel:
@@ -84,7 +84,7 @@ def permuted_copy(ib: InferenceBase, rng: random.Random) -> InferenceBase:
     n = ib.model.n_samples
     perm = list(range(n))
     rng.shuffle(perm)
-    model = build_model(
+    model = FiniteModel(
         ib.model.theta_labels,
         tuple(ib.model.sample_labels[j] for j in perm),
         tuple(tuple(row[j] for j in perm) for row in ib.model.probs),

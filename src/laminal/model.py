@@ -59,8 +59,7 @@ def as_rational(value: Fraction | int | str) -> Fraction:
 class FiniteModel:
     """A finite discrete model: labelled rows of exact probabilities.
 
-    ``name`` and ``dropped`` (labels removed by zero-weight mixing; conditioning
-    removes none) are provenance metadata and do not take part in equality.
+    ``name`` is provenance metadata and does not take part in equality.
     ``scaled`` is ``probs`` over its common denominator S: row t is
     ``probs[t][j] * S`` for each j, so every row sums to S.  It is derived,
     so it takes no part in equality or ``repr`` either.
@@ -70,7 +69,6 @@ class FiniteModel:
     sample_labels: tuple[str, ...]
     probs: tuple[tuple[Fraction, ...], ...]
     name: str = field(default="model", compare=False)
-    dropped: tuple[str, ...] = field(default=(), compare=False)
     scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -83,7 +81,6 @@ class FiniteModel:
         object.__setattr__(self, "theta_labels", thetas)
         object.__setattr__(self, "sample_labels", samples)
         object.__setattr__(self, "probs", rows)
-        object.__setattr__(self, "dropped", tuple(self.dropped))
         if not thetas or not samples:
             raise ModelError("need at least one parameter and one sample point")
         for axis, labels in (("theta", thetas), ("sample", samples)):
@@ -125,16 +122,6 @@ class FiniteModel:
             raise UnknownSampleLabel(f"unknown sample label {label!r}") from None
 
 
-def build_model(
-    theta_labels: Sequence[str],
-    sample_labels: Sequence[str],
-    probs: Sequence[Sequence[Fraction | int | str]],
-    name: str = "model",
-) -> FiniteModel:
-    """Validate and build a model from any exact-rational matrix input."""
-    return FiniteModel(theta_labels, sample_labels, probs, name)
-
-
 @dataclass(frozen=True)
 class InferenceBase:
     """A model together with the observed sample index."""
@@ -151,17 +138,13 @@ class InferenceBase:
         return self.model.sample_labels[self.observed]
 
 
-def example1_model(eps: Fraction | int | str, allow_degenerate: bool = False) -> FiniteModel:
+def example1_model(eps: Fraction | int | str) -> FiniteModel:
     """Built-in 2x7 model whose first four points carry an eps perturbation.
 
-    Valid for 0 < eps < 1/64 (the smallest entry stays positive).  eps = 0
-    collapses several likelihood-ratio classes and is only allowed behind
-    ``allow_degenerate``, as a test case for that collapse.
+    Valid for 0 < eps < 1/64 (the smallest entry stays positive).
     """
     e = as_rational(eps)
-    if e == 0 and allow_degenerate:
-        pass
-    elif not 0 < e < Fraction(1, 64):
+    if not 0 < e < Fraction(1, 64):
         raise EpsilonOutOfRange(f"eps must lie strictly between 0 and 1/64, got {e}")
     f = Fraction
     row1 = (f(1, 8) + e, f(1, 8) - e, f(1, 8) + 2 * e, f(1, 8) - 2 * e,
@@ -214,7 +197,7 @@ def condition_on_event(model: FiniteModel, event: Iterable[int]) -> FiniteModel:
 
     Every theta must give the event positive probability.  A valid model
     has no point dead under every theta, so every point of the event is
-    kept and ``dropped`` stays empty.
+    kept.
     """
     event = sorted(set(event))
     if any(j < 0 or j >= model.n_samples for j in event):
@@ -258,8 +241,7 @@ def mixture_model(
 
     Each point's probability is scaled by (new weight / current weight) of
     its block, which leaves the conditional model given each block intact.
-    Blocks given weight 0 disappear; their labels are recorded in
-    ``dropped``.
+    Blocks given weight 0 disappear.
     """
     dist = ancillary_distribution(model, u)
     if dist is None:
@@ -268,7 +250,6 @@ def mixture_model(
     # Blocks of an ancillary are never dead in a valid model, so dist > 0.
     factor = [wi / qi for wi, qi in zip(w, dist)]
     kept = [j for j in range(model.n_samples) if w[u.block_of(j)] > 0]
-    dropped = tuple(model.sample_labels[j] for j in range(model.n_samples) if j not in set(kept))
     rows = tuple(
         tuple(model.probs[t][j] * factor[u.block_of(j)] for j in kept)
         for t in range(model.n_thetas)
@@ -278,7 +259,6 @@ def mixture_model(
         tuple(model.sample_labels[j] for j in kept),
         rows,
         f"{model.name}_mix",
-        dropped,
     )
 
 
@@ -353,4 +333,4 @@ def parse_model(text: str) -> FiniteModel:
     missing = [lab for lab in thetas if lab not in rows]
     if missing:
         raise ModelFormatError(f"missing probability row for theta {missing[0]!r}")
-    return build_model(thetas, samples, [rows[lab] for lab in thetas], name)
+    return FiniteModel(thetas, samples, [rows[lab] for lab in thetas], name)

@@ -100,6 +100,8 @@ class EvidenceBase:
     columns: dict[int, tuple[Fraction, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
+        if self.relation not in _VECTOR_WORDS:
+            raise ValueError(f"relation must be 's' or 'sc', got {self.relation!r}")
         if self.observed not in self.kept:
             raise ValueError("observed block outside the evidence space")
         if len(self.kept) != self.model.n_samples:

@@ -32,8 +32,22 @@ def ex2():
 
 
 @pytest.fixture(scope="session")
+def ex1_eps0():
+    # example1 at eps = 0, outside example1_model's range, where equal
+    # likelihood ratios merge columns; the rows are checked against
+    # cli.EX1_FORMS in test_model.py.
+    f = Fraction
+    return L.FiniteModel(
+        ("theta1", "theta2"), tuple(str(i) for i in range(1, 8)),
+        [[f(1, 8), f(1, 8), f(1, 8), f(1, 8), f(1, 14), f(2, 14), f(4, 14)],
+         [f(1, 16), f(3, 16), f(3, 16), f(1, 16), f(2, 14), f(1, 14), f(4, 14)]],
+        "example1",
+    )
+
+
+@pytest.fixture(scope="session")
 def one_theta():
-    return L.build_model(
+    return L.FiniteModel(
         ("theta1",), ("1", "2", "3"),
         [[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]],
         "flat",
@@ -44,7 +58,7 @@ def one_theta():
 def unique_maximal():
     # Only nontrivial ancillary is {1,2}|{3}: a genuine two-component mixture
     # with parameter-dependent conditionals inside the first block.
-    return L.build_model(
+    return L.FiniteModel(
         ("theta1", "theta2"), ("1", "2", "3"),
         [[Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
          [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]],

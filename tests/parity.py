@@ -33,7 +33,7 @@ DIGESTS = Path(__file__).with_name("parity.json")
 
 
 def one_theta(n: int) -> L.FiniteModel:
-    return L.build_model(("t",), tuple(str(i + 1) for i in range(n)),
+    return L.FiniteModel(("t",), tuple(str(i + 1) for i in range(n)),
                          [[F(i + 1, n * (n + 1) // 2) for i in range(n)]], f"flat{n}")
 
 

@@ -125,9 +125,8 @@ def test_criterion_6_relation_suite():
     outcome(6, "equivalence-relation audits and idempotence", ok)
 
 
-def test_criterion_7_degenerate_mss():
-    m = L.example1_model(0, allow_degenerate=True)
-    ok = L.mss_partition(m) == bp("1,4,6|2,3|5|7", 7)
+def test_criterion_7_degenerate_mss(ex1_eps0):
+    ok = L.mss_partition(ex1_eps0) == bp("1,4,6|2,3|5|7", 7)
     outcome(7, "degenerate-eps minimal sufficient partition", ok)
 
 

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import random
+import re
 from fractions import Fraction as F
 from functools import cached_property, reduce
 from pathlib import Path
@@ -193,7 +195,7 @@ class TestStability:
         assert set(witnessed) == set(cls.ancillaries) - set(cls.stable)
         # One theta: every one of the Bell(6) = 203 ancillaries is stable.
         witnessed.clear()
-        flat = L.build_model(("t",), tuple(str(i + 1) for i in range(6)), [[F(1, 6)] * 6])
+        flat = L.FiniteModel(("t",), tuple(str(i + 1) for i in range(6)), [[F(1, 6)] * 6])
         cls = L.classify(flat)
         assert len(cls.ancillaries) == len(cls.stable) == 203
         assert witnessed == [] and cls.witnesses == ()
@@ -210,7 +212,7 @@ class TestStability:
 
         monkeypatch.setattr(L.Partition, "sort_key", sort_key)
         assert len(L.classify(ex1).ancillaries) == 25
-        flat = L.build_model(("t",), tuple(str(i + 1) for i in range(6)), [[F(1, 6)] * 6])
+        flat = L.FiniteModel(("t",), tuple(str(i + 1) for i in range(6)), [[F(1, 6)] * 6])
         assert len(L.classify(flat).ancillaries) == 203
         assert keyed == []
 
@@ -218,7 +220,7 @@ class TestStability:
         # One theta: every event is zero-sum, and 16 points are past the
         # search cap of 13 but within the event table's.
         n = 16
-        flat = L.build_model(("t",), tuple(str(i) for i in range(n)), [[F(1, n)] * n])
+        flat = L.FiniteModel(("t",), tuple(str(i) for i in range(n)), [[F(1, n)] * n])
         lam = L.laminal(flat)
         assert lam == L.Partition.singletons(n)
         assert L.is_stable(flat, lam)
@@ -336,7 +338,7 @@ class TestEventsAndGamma0:
 
     def test_event_scan_cap(self):
         n = 21
-        flat = L.build_model(("t",), tuple(str(i) for i in range(n)),
+        flat = L.FiniteModel(("t",), tuple(str(i) for i in range(n)),
                              [[F(1, n)] * n])
         with pytest.raises(L.SizeCapExceeded):
             L.ancillary_events(flat)
@@ -352,7 +354,7 @@ class TestEventsAndGamma0:
         total = n * (n + 1) // 2
         rows = [[F(i + 1, total) for i in range(n)],
                 [F(n - i, total) for i in range(n)]]
-        wide = L.build_model(("a", "b"), tuple(str(i) for i in range(n)), rows)
+        wide = L.FiniteModel(("a", "b"), tuple(str(i) for i in range(n)), rows)
         with pytest.raises(L.SizeCapExceeded):
             L.ancillaries(wide)
 
@@ -375,7 +377,7 @@ class TestClassify:
         assert set(cls.gamma0) == {frozenset(), frozenset(range(4))}
 
     def test_one_theta_two_points(self):
-        m = L.build_model(("t",), ("1", "2"), [[F(1, 2), F(1, 2)]])
+        m = L.FiniteModel(("t",), ("1", "2"), [[F(1, 2), F(1, 2)]])
         cls = L.classify(m)
         assert len(cls.ancillaries) == 2
         assert cls.laminal == L.Partition.singletons(2)
@@ -393,7 +395,7 @@ class TestClassify:
         zero = cached_property(counted)
         zero.__set_name__(_Lattice, "zero")
         monkeypatch.setattr(_Lattice, "zero", zero)
-        proportional = L.build_model(("a", "b"), ("1", "2", "3", "4"),
+        proportional = L.FiniteModel(("a", "b"), ("1", "2", "3", "4"),
                                      [[F(1, 8), F(1, 8), F(1, 4), F(1, 2)],
                                       [F(1, 4), F(1, 8), F(1, 2), F(1, 8)]])
         mss = L.mss_partition(proportional)
@@ -408,24 +410,80 @@ class TestClassify:
             assert cls.gamma0 == L.gamma0(model)
 
 
+def _patch_lattice(monkeypatch, name, change):
+    # Replace one cached _Lattice input by ``change(lat, real value)``.
+    real = getattr(_Lattice, name).func
+    prop = cached_property(lambda lat: change(lat, real(lat)))
+    prop.__set_name__(_Lattice, name)
+    monkeypatch.setattr(_Lattice, name, prop)
+
+
 class TestCrossChecks:
     def test_a_search_without_the_laminal_fails_the_minimal_check(self, ex1, monkeypatch):
         # The laminal is read off the atoms; a search that misses its cover
         # must fail on the laminal, before the Bell(b) count would.
-        real = _Lattice._blocks.func
-
-        def without_laminal(lat):
-            blocks = real(lat)
+        def without_laminal(lat, blocks):
             del blocks[lat.laminal]
             return blocks
 
-        prop = cached_property(without_laminal)
-        prop.__set_name__(_Lattice, "_blocks")
-        monkeypatch.setattr(_Lattice, "_blocks", prop)
+        _patch_lattice(monkeypatch, "_blocks", without_laminal)
         for call in (lambda: L.classify(ex1), lambda: L.minimal_ancillaries(ex1)):
             with pytest.raises(L.InternalCheckError,
                                match="^laminal is not among the minimal ancillaries$"):
                 call()
+
+    def test_one_maximal_short_fails_the_join_check(self, ex1, monkeypatch):
+        _patch_lattice(monkeypatch, "maximal", lambda lat, maximal: maximal[1:])
+        with pytest.raises(L.InternalCheckError,
+                           match="^join of maximal ancillaries is not the laminal$"):
+            L.minimal_ancillaries(ex1)
+
+    def test_a_search_without_one_coarsening_fails_the_bell_count(self, ex1, monkeypatch):
+        # The laminal of example1 has three parts, so Bell(3) = 5 minimals;
+        # dropping the one-block cover leaves four.
+        trivial = L.Partition.one_block(7)
+        _patch_lattice(monkeypatch, "_blocks",
+                       lambda lat, blocks: {p: m for p, m in blocks.items() if p != trivial})
+        with pytest.raises(L.InternalCheckError,
+                           match="^a coarsening of the laminal is not ancillary$"):
+            L.minimal_ancillaries(ex1)
+
+    def test_an_atom_that_is_not_zero_sum_fails_the_parts_check(self, ex1, monkeypatch):
+        # The point mass {1} carries theta-dependent probability in example1.
+        _patch_lattice(monkeypatch, "atoms", lambda lat, atoms: (1,))
+        with pytest.raises(L.InternalCheckError,
+                           match="^a component of overlapping atoms is not zero-sum$"):
+            L.laminal(ex1)
+
+    def test_an_empty_witness_order_fails_the_witness_check(self, ex1, ex1_parts, monkeypatch):
+        # With no ancillary to scan, no unstable event finds its witness.
+        _patch_lattice(monkeypatch, "_enumeration_order", lambda lat, order: [])
+        with pytest.raises(L.InternalCheckError) as exc:
+            L.instability_witness(ex1, ex1_parts["C2"])
+        found = re.fullmatch(r"event \[([\d, ]+)\] is not conforming but no block "
+                             r"of an ancillary destabilizes it", str(exc.value))
+        assert found, exc.value
+        # The event named is a zero-sum event outside Γ0.
+        event = frozenset(map(int, found[1].split(", ")))
+        assert event in set(L.ancillary_events(ex1)) - set(L.gamma0(ex1))
+
+    def test_strong_disagreeing_with_stable_fails_the_check(self, ex1, ex1_parts, monkeypatch):
+        # Every conditional statistic read as ancillary: the unstable C2 looks strong.
+        monkeypatch.setattr("laminal.ancillary.is_ancillary", lambda model, p: True)
+        c2 = ex1_parts["C2"]
+        with pytest.raises(L.InternalCheckError,
+                           match=f"^{re.escape(f'strong/stable disagree for {c2!r}')}$"):
+            L.is_strong(ex1, c2)
+
+    def test_a_statistic_over_another_ground_set_is_rejected(self, ex1):
+        with pytest.raises(L.GroundSetMismatch,
+                           match="^partition over 3 points does not match model with 7$"):
+            L.is_stable(ex1, bp("1,2|3", 3))
+
+    def test_a_witness_with_equal_probabilities_is_rejected(self, ex1, ex1_parts):
+        w = L.instability_witness(ex1, ex1_parts["C2"])
+        with pytest.raises(ValueError, match="^witness probabilities must differ$"):
+            dataclasses.replace(w, lr=(w.lr[0], w.lr[0]))
 
     def test_no_cross_check_is_an_assert(self):
         # python -O strips assert statements, and the cross-checks must run
@@ -444,7 +502,7 @@ class TestMle:
         assert [L.mle(ex2, x) for x in range(4)] == [0, 1, 1, 0]
 
     def test_tie_goes_to_the_lowest_index(self):
-        m = L.build_model(("a", "b"), ("1", "2"),
+        m = L.FiniteModel(("a", "b"), ("1", "2"),
                           [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
         assert L.mle(m, 0) == 0
         assert L.mle_ties(m, 0) == (0, 1)

@@ -36,13 +36,13 @@ def wide_file(tmp_path, n):
             [F(n - i, total) for i in range(n)]]
     path = tmp_path / f"wide{n}.model"
     path.write_text(L.format_model(
-        L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, f"wide{n}")))
+        L.FiniteModel(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, f"wide{n}")))
     return str(path)
 
 
 @pytest.fixture()
 def one_theta_file(tmp_path):
-    m = L.build_model(("t",), ("1", "2"), [[F(1, 2), F(1, 2)]], "flat2")
+    m = L.FiniteModel(("t",), ("1", "2"), [[F(1, 2), F(1, 2)]], "flat2")
     path = tmp_path / "flat.model"
     path.write_text(L.format_model(m))
     return str(path)
@@ -76,7 +76,7 @@ class TestAnalyze:
         total = n * (n + 1) // 2
         rows = [[F(i + 1, total) for i in range(n)],
                 [F(n - i, total) for i in range(n)]]
-        m = L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)), rows,
+        m = L.FiniteModel(("a", "b"), tuple(str(i + 1) for i in range(n)), rows,
                           "wide")
         path = tmp_path / "wide.model"
         path.write_text(L.format_model(m))
@@ -91,7 +91,7 @@ class TestAnalyze:
                 [F(n - i, total) for i in range(n)]]
         path = tmp_path / "wider.model"
         path.write_text(L.format_model(
-            L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, "wider")))
+            L.FiniteModel(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, "wider")))
         assert main(["analyze", str(path), "--no-within-mss"]) == 3
         assert capsys.readouterr().err == "error: enumeration over 21 items exceeds the cap of 13\n"
 
@@ -208,7 +208,7 @@ class TestAnalyze:
             [v / 2 for v in row] + [F(1, 14)] * 7
             for row in ex1.probs
         ]
-        m = L.build_model(("theta1", "theta2"),
+        m = L.FiniteModel(("theta1", "theta2"),
                           tuple(str(i + 1) for i in range(14)), rows, "wide14")
         path = tmp_path / "wide14.model"
         path.write_text(L.format_model(m))
@@ -491,7 +491,7 @@ class TestCompare:
         assert "obstruction" in out
 
     def test_theta_mismatch_exits_2(self, ex1_file, tmp_path, capsys):
-        other = L.build_model(("p", "q"), ("1", "2"),
+        other = L.FiniteModel(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]], "other")
         path = tmp_path / "other.model"
         path.write_text(L.format_model(other))
@@ -511,7 +511,7 @@ _SAME_FIRST_COLUMN = (
 def model_files(tmp_path, ex1, ex2):
     models = {"ex1": ex1, "ex2": ex2}
     for name, rows in zip(("gen_a", "gen_b"), _SAME_FIRST_COLUMN):
-        models[name] = L.build_model(("theta1", "theta2"), ("a", "b", "c"), rows, name)
+        models[name] = L.FiniteModel(("theta1", "theta2"), ("a", "b", "c"), rows, name)
     paths = {}
     for name, model in models.items():
         paths[name] = tmp_path / f"{name}.model"
@@ -570,6 +570,14 @@ class TestReproduce:
 
     def test_epsilon_out_of_range_exits_2(self, capsys):
         assert main(["reproduce", "example1", "--epsilon", "1/32"]) == 2
+
+    def test_epsilon_that_is_not_a_rational_exits_2_at_parse_time(self, capsys):
+        for text in ("abc", "1/0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["reproduce", "all", "--epsilon", text])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"argument --epsilon: not a rational: {text!r}" in err
 
     def test_exceptional_epsilon_exits_2_before_any_report(self, capsys):
         # At eps = 1/224 example1 has extra ancillaries, so its reference

@@ -44,6 +44,7 @@ from laminal import (
 )
 from laminal.ancillary import _Lattice
 from laminal.corpus import _random_mixture, audit_corpus, permuted_copy, random_models
+from laminal.evidence import _s_related
 from laminal import partitions
 from laminal.partitions import coarsen
 from laminal.report import fmt_vector
@@ -130,7 +131,7 @@ def oracle_gamma0(model):
 
 
 def one_theta(n):
-    return L.build_model(("t",), tuple(str(i + 1) for i in range(n)),
+    return L.FiniteModel(("t",), tuple(str(i + 1) for i in range(n)),
                          [[F(i + 1, n * (n + 1) // 2) for i in range(n)]], f"flat{n}")
 
 
@@ -138,11 +139,11 @@ def three_thetas():
     # Point 1 moves up under b and down under c by the same amount, so a
     # check that added the two difference rows would call {1} zero-sum.
     q, x = F(1, 4), F(1, 8)
-    cancelling = L.build_model(("a", "b", "c"), ("1", "2", "3", "4"),
+    cancelling = L.FiniteModel(("a", "b", "c"), ("1", "2", "3", "4"),
                                [[q] * 4, [q + x, q - x, q, q], [q - x, q + x, q + x, q - x]])
     # example2 with its first row repeated: witnesses must pair theta 0 with theta 2.
     ex2 = L.example2_model()
-    repeated = L.build_model(("t1", "t1b", "t2"), ex2.sample_labels,
+    repeated = L.FiniteModel(("t1", "t1b", "t2"), ex2.sample_labels,
                              [ex2.probs[0], ex2.probs[0], ex2.probs[1]])
     return [("three-theta-cancelling", cancelling), ("three-theta-repeated", repeated)]
 
@@ -524,7 +525,7 @@ def _multiset_corpus():
             (("1/2", "1/5", "3/10"), ("1/4", "1/4", "1/2")),
             (("1/3", "1/3", "1/3"), ("1/6", "1/2", "1/3")),
             (("1/4", "1/4", "1/2"), ("1/8", "3/8", "1/2"))]
-    models = [L.build_model(("theta1", "theta2"), ("a", "b", "c"), r) for r in rows]
+    models = [L.FiniteModel(("theta1", "theta2"), ("a", "b", "c"), r) for r in rows]
     ex1 = [InferenceBase(L.example1_model(F(1, 100)), x) for x in range(7)]
     rng = random.Random(1)
     return ([InferenceBase(m, x) for m in models for x in range(3)]
@@ -578,6 +579,25 @@ def test_evidence_bases_match_the_oracle_records(corpus_id):
             for attr in ("probs", "sample_labels", "theta_labels", "name"):
                 assert getattr(got.model, attr) == getattr(want.model, attr)
             assert got.as_inference_base() == InferenceBase(want.model, want.observed_block)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_per_base_ms_records_decide_every_pair_as_the_s_audit_does(seed):
+    # The audit of s reduces both bases of every ordered pair again, through
+    # s_equivalent.  Reducing each base once and matching the ev_ms records
+    # must relate the same pairs, bases over other parameter labels included.
+    corpus = audit_corpus(seed, 12)
+    corpus += L.maximal_conditionals(corpus[0])
+    reduced = [L.ev_ms(ib) for ib in corpus]
+    outcomes = Counter()
+    for ib1, r1 in zip(corpus, reduced):
+        for ib2, r2 in zip(corpus, reduced):
+            related = isinstance(L.match_reductions(r1, r2), Relabeling)
+            assert related == _s_related(ib1, ib2), (ib1, ib2)
+            outcomes["related"] += related
+            outcomes["across"] += ib1.model.theta_labels != ib2.model.theta_labels
+    # Related pairs beyond the diagonal, and pairs across parameter spaces.
+    assert outcomes["related"] > len(corpus) and outcomes["across"], outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -686,17 +706,16 @@ def test_lattice_steps_match_the_replaced_scans(seed):
 
 
 def oracle_condition_on_event(model, event):
-    """Keep the points of ``event`` alive under some theta; record the rest as dropped."""
+    """Keep the points of ``event`` alive under some theta; drop the rest."""
     event = sorted(set(event))
     masses = [model.event_prob(t, event) for t in range(model.n_thetas)]
     if 0 in masses:
         raise L.ZeroProbabilityEvent("event has probability 0")
     kept = [j for j in event if any(row[j] > 0 for row in model.probs)]
-    dropped = tuple(model.sample_labels[j] for j in event if j not in set(kept))
     rows = tuple(tuple(model.probs[t][j] / masses[t] for j in kept)
                  for t in range(model.n_thetas))
     return FiniteModel(model.theta_labels, tuple(model.sample_labels[j] for j in kept),
-                       rows, f"{model.name}_cond", dropped)
+                       rows, f"{model.name}_cond")
 
 
 def oracle_conditional_mle_table(model, a, block):
@@ -726,7 +745,7 @@ def test_conditioning_matches_the_support_filtering_oracle():
             for b, block in enumerate(a.blocks):
                 got, want = condition_on_event(model, block), oracle_condition_on_event(model, block)
                 assert (got, got.name) == (want, want.name), (name, a, b)
-                assert got.dropped == want.dropped == (), (name, a, b)
+                assert want.n_samples == len(block), (name, a, b)
                 assert L.conditional_mle_table(model, a, b) == \
                     oracle_conditional_mle_table(model, a, b), (name, a, b)
                 partly_dead += any(0 in row for row in got.probs)

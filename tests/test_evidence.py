@@ -12,10 +12,10 @@ def sc_not_s_pair():
     # Same conditional model on the observed laminal contour, different
     # unconditional block probabilities: related under stable conditionality
     # but not under sufficiency.
-    m1 = L.build_model(
+    m1 = L.FiniteModel(
         ("theta1", "theta2"), ("a", "b", "c"),
         [[F(1, 3), F(1, 3), F(1, 3)], [F(1, 6), F(1, 2), F(1, 3)]], "m1")
-    m2 = L.build_model(
+    m2 = L.FiniteModel(
         ("theta1", "theta2"), ("a", "b", "c"),
         [[F(1, 4), F(1, 4), F(1, 2)], [F(1, 8), F(3, 8), F(1, 2)]], "m2")
     return L.InferenceBase(m1, 0), L.InferenceBase(m2, 0)
@@ -46,7 +46,7 @@ class TestEvSc:
         # Content equality ignores the name, so a cache keyed on content
         # would hand the second model the first one's conditional.
         for name in names:
-            m = L.build_model(ex1.theta_labels, ex1.sample_labels, ex1.probs, name)
+            m = L.FiniteModel(ex1.theta_labels, ex1.sample_labels, ex1.probs, name)
             assert L.ev_sc(L.InferenceBase(m, 4)).model.name == f"{name}_T_cond"
 
     def test_conditional_columns_are_nonproportional(self, ex1, ex2):
@@ -85,7 +85,7 @@ class TestScEquivalence:
         assert L.s_equivalent(ib1, ib2) is None
 
     def test_theta_space_mismatch(self, ex2):
-        other = L.build_model(("p", "q"), ("1", "2"),
+        other = L.FiniteModel(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         with pytest.raises(L.ThetaSpaceMismatch):
             L.sc_equivalent(L.InferenceBase(ex2, 0), L.InferenceBase(other, 0))
@@ -95,10 +95,10 @@ class TestScEquivalence:
         # past the 2^20 event scan: the parameter labels must be compared
         # before either base is reduced.
         n, total = 21, 21 * 22 // 2
-        wide = L.build_model(("a", "b"), tuple(str(i + 1) for i in range(n)),
+        wide = L.FiniteModel(("a", "b"), tuple(str(i + 1) for i in range(n)),
                              [[F(i + 1, total) for i in range(n)],
                               [F(n - i, total) for i in range(n)]])
-        other = L.build_model(("p", "q"), ("1", "2"),
+        other = L.FiniteModel(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         for pair in ((wide, other), (other, wide)):
             ib1, ib2 = (L.InferenceBase(m, 0) for m in pair)
@@ -127,13 +127,12 @@ class TestIdempotence:
             for x in range(m.n_samples):
                 assert L.ev_sc_idempotent(L.InferenceBase(m, x))
 
-    def test_degenerate_eps(self):
-        m = L.example1_model(0, allow_degenerate=True)
+    def test_degenerate_eps(self, ex1_eps0):
         for x in range(7):
-            assert L.ev_sc_idempotent(L.InferenceBase(m, x))
+            assert L.ev_sc_idempotent(L.InferenceBase(ex1_eps0, x))
 
-    def test_ms_reduction_is_a_fixed_point(self, ex1, ex2, one_theta):
-        for m in (ex1, ex2, one_theta, L.example1_model(0, allow_degenerate=True)):
+    def test_ms_reduction_is_a_fixed_point(self, ex1, ex2, one_theta, ex1_eps0):
+        for m in (ex1, ex2, one_theta, ex1_eps0):
             for x in range(m.n_samples):
                 ib = L.InferenceBase(m, x)
                 assert L.is_ms_reduced(L.ev_ms(ib).as_inference_base())
@@ -197,7 +196,7 @@ class TestAudits:
     def test_classical_conditioning_trivial_corpus_passes(self, ex2):
         # with a unique (trivial) maximal ancillary the conditioning step is
         # the identity and nothing fails
-        m = L.build_model(("a", "b"), ("1", "2"),
+        m = L.FiniteModel(("a", "b"), ("1", "2"),
                           [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         report = L.audit_relation([L.InferenceBase(m, 0)], "c")
         assert report.is_equivalence

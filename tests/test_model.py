@@ -1,16 +1,18 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
 
 import laminal as L
+from laminal import cli
 
 from conftest import bp
 
 
 class TestBuildModel:
     def test_example2_table_is_valid(self):
-        m = L.build_model(
+        m = L.FiniteModel(
             ("a", "b"), ("1", "2", "3", "4"),
             [[F(1, 6), F(1, 6), F(2, 6), F(2, 6)],
              [F(1, 12), F(3, 12), F(5, 12), F(3, 12)]],
@@ -18,40 +20,55 @@ class TestBuildModel:
         assert m.n_thetas == 2 and m.n_samples == 4
 
     def test_trivial_single_point(self):
-        m = L.build_model(("t",), ("x",), [[1]])
+        m = L.FiniteModel(("t",), ("x",), [[1]])
         assert m.probs == ((F(1),),)
 
     def test_row_sum_error(self):
         with pytest.raises(L.RowSumError, match="^row b sums to 2/3, not 1$"):
-            L.build_model(("a", "b"), ("1", "2"),
+            L.FiniteModel(("a", "b"), ("1", "2"),
                           [[F(1, 2), F(1, 2)], [F(1, 3), F(1, 3)]])
         with pytest.raises(L.RowSumError, match="^row a sums to 5/4, not 1$"):
-            L.build_model(("a",), ("1", "2"), [[F(3, 4), F(1, 2)]])
+            L.FiniteModel(("a",), ("1", "2"), [[F(3, 4), F(1, 2)]])
 
     def test_negative_probability(self):
         with pytest.raises(L.NegativeProbability, match="^negative probability under a$"):
-            L.build_model(("a",), ("1", "2"), [[F(3, 2), F(-1, 2)]])
+            L.FiniteModel(("a",), ("1", "2"), [[F(3, 2), F(-1, 2)]])
 
     def test_dead_sample_point(self):
         with pytest.raises(L.DeadSamplePoint,
                            match="^sample point 3 has probability 0 everywhere$"):
-            L.build_model(("a", "b"), ("1", "2", "3"),
+            L.FiniteModel(("a", "b"), ("1", "2", "3"),
                           [[F(1, 2), F(1, 2), 0], [F(1, 4), F(3, 4), 0]])
 
     def test_duplicate_labels(self):
         with pytest.raises(L.DuplicateLabel):
-            L.build_model(("a", "a"), ("1", "2"),
+            L.FiniteModel(("a", "a"), ("1", "2"),
                           [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
         with pytest.raises(L.DuplicateLabel):
-            L.build_model(("a",), ("1", "1"), [[F(1, 2), F(1, 2)]])
+            L.FiniteModel(("a",), ("1", "1"), [[F(1, 2), F(1, 2)]])
 
     def test_floats_are_rejected(self):
         with pytest.raises(L.ModelError):
-            L.build_model(("a",), ("1", "2"), [[0.5, 0.5]])
+            L.FiniteModel(("a",), ("1", "2"), [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("thetas, samples, rows, err, message", [
+        ((), ("1",), [], L.ModelError, "need at least one parameter and one sample point"),
+        (("a",), (), [[]], L.ModelError, "need at least one parameter and one sample point"),
+        (("a", "b"), ("1", "2"), [[F(1, 2), F(1, 2)]], L.ModelError,
+         "probability matrix shape does not match labels"),
+        (("a",), ("1", "2"), [[1]], L.ModelError,
+         "probability matrix shape does not match labels"),
+        (("a",), ("1", "2"), [["1/2", "half"]], L.ModelFormatError, "not a rational: 'half'"),
+        (("a",), ("1", "2"), [["1/2", "1/0"]], L.ModelFormatError, "not a rational: '1/0'"),
+    ])
+    def test_malformed_input(self, thetas, samples, rows, err, message):
+        with pytest.raises(err, match=f"^{re.escape(message)}$") as exc:
+            L.FiniteModel(thetas, samples, rows)
+        assert type(exc.value) is err
 
     def test_exact_entries_are_kept_as_given(self):
         q = F(1, 3)
-        m = L.build_model(("a",), ("1", "2"), [[q, "2/3"]])
+        m = L.FiniteModel(("a",), ("1", "2"), [[q, "2/3"]])
         assert m.probs[0][0] is q and m.probs[0][1] == F(2, 3)
 
 
@@ -81,7 +98,7 @@ class TestScaledMatrix:
             assert all(type(v) is int for v in model.scaled[t])
 
     def test_scaled_takes_no_part_in_equality_or_repr(self, ex2):
-        other = L.build_model(ex2.theta_labels, ex2.sample_labels, ex2.probs, ex2.name)
+        other = L.FiniteModel(ex2.theta_labels, ex2.sample_labels, ex2.probs, ex2.name)
         object.__setattr__(other, "scaled", ((0,),))
         assert other == ex2 and hash(other) == hash(ex2)
         assert "scaled" not in repr(ex2)
@@ -99,10 +116,11 @@ class TestExampleModels:
         with pytest.raises(L.EpsilonOutOfRange):
             L.example1_model(eps)
 
-    def test_example1_degenerate_flag(self):
-        m = L.example1_model(0, allow_degenerate=True)
-        assert m.probs[0][0] == F(1, 8)
-        assert m.probs[1][3] == F(1, 16)
+    def test_example1_eps_0_rows_follow_the_forms(self, ex1, ex1_eps0):
+        assert ex1_eps0.theta_labels == ex1.theta_labels
+        assert ex1_eps0.sample_labels == ex1.sample_labels
+        for lab, row in zip(ex1_eps0.theta_labels, ex1_eps0.probs):
+            assert row == tuple(cli._eval_form(f, F(0)) for f in cli.EX1_FORMS[lab])
 
     def test_example2_rows(self, ex2):
         assert ex2.probs[0] == (F(1, 6), F(1, 6), F(2, 6), F(2, 6))
@@ -125,21 +143,26 @@ class TestConditioning:
         assert cond.probs == ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))
 
     def test_zero_probability_event(self):
-        m = L.build_model(("a", "b"), ("1", "2", "3"),
+        m = L.FiniteModel(("a", "b"), ("1", "2", "3"),
                           [[F(1, 2), F(1, 2), 0], [F(1, 3), F(1, 3), F(1, 3)]])
         with pytest.raises(L.ZeroProbabilityEvent):
             L.condition_on_event(m, {2})
         with pytest.raises(L.ZeroProbabilityEvent):
             L.condition_on_event(m, set())
 
+    def test_event_outside_the_sample_space(self, ex2):
+        for event in ({4}, {-1, 0}):
+            with pytest.raises(L.UnknownSampleLabel,
+                               match="^event contains an out-of-range sample index$"):
+                L.condition_on_event(ex2, event)
+
     def test_partially_dead_points_survive_conditioning(self):
         # A point dead under every theta cannot exist in a valid model, so
         # conditioning never drops anything; zero mixture weights do (below).
-        m = L.build_model(("a", "b"), ("1", "2", "3"),
+        m = L.FiniteModel(("a", "b"), ("1", "2", "3"),
                           [[F(1, 2), F(1, 2), 0], [F(1, 3), F(1, 3), F(1, 3)]])
         cond = L.condition_on_event(m, {0, 2})
         assert cond.sample_labels == ("1", "3")
-        assert cond.dropped == ()
         assert cond.probs == ((F(1), F(0)), (F(1, 2), F(1, 2)))
 
     def test_tower_property(self, ex1):
@@ -190,7 +213,6 @@ class TestMixture:
         a1 = bp("1,2|3,4|5,6|7", 7)
         mix = L.mixture_model(ex1, a1, (1, 0, 0, 0))
         assert mix.sample_labels == ("1", "2")
-        assert mix.dropped == ("3", "4", "5", "6", "7")
         assert mix.probs == ((F(27, 50), F(23, 50)), (F(21, 100), F(79, 100)))
 
     def test_errors(self, ex1, ex2):
@@ -264,6 +286,22 @@ b 1/4 3/4
     ])
     def test_parse_rejections(self, bad, err):
         with pytest.raises(err):
+            L.parse_model(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("model m\nsamples 1 2\nthetas a\na 1/2 1/2\n",
+         "second line must be 'thetas <label> ...'"),
+        ("model m\nthetas\nsamples 1 2\na 1/2 1/2\n",
+         "second line must be 'thetas <label> ...'"),
+        ("model m\nthetas a\nthetas 1 2\na 1/2 1/2\n",
+         "third line must be 'samples <label> ...'"),
+        ("model m\nthetas a\nsamples\na 1/2 1/2\n",
+         "third line must be 'samples <label> ...'"),
+        ("model m\nthetas a b\nsamples 1 2\na 1/2 1/2\na 1/2 1/2\n",
+         "duplicate row for theta 'a'"),
+    ])
+    def test_parse_rejection_messages(self, bad, message):
+        with pytest.raises(L.ModelFormatError, match=f"^{re.escape(message)}$"):
             L.parse_model(bad)
 
     def test_tokens_are_signed_unreduced_rationals(self):

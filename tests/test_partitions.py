@@ -173,6 +173,12 @@ class TestJoinMeet:
         with pytest.raises(L.EmptyInput):
             L.join([])
 
+    def test_join_and_meet_reject_mixed_ground_sets(self):
+        with pytest.raises(L.GroundSetMismatch, match="^join over mixed ground sets$"):
+            L.join([bp("1,2|3", 3), bp("1|2", 2)])
+        with pytest.raises(L.GroundSetMismatch, match="^ground sets differ: 3 vs 2$"):
+            L.meet(bp("1,2|3", 3), bp("1|2", 2))
+
     def test_meet_of_the_two_maximals(self):
         a1 = bp("1,2|3,4|5,6|7", 7)
         a2 = bp("1,3|2,4|5,6|7", 7)
@@ -235,6 +241,13 @@ class TestEnumeration:
         # a coarse base partition keeps a large ground set enumerable
         base = L.Partition([range(0, 7), range(7, 14)], 14)
         assert len(list(L.enumerate_partitions(14, coarser_than=base))) == 2
+
+    def test_empty_or_mismatched_ground_set(self):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            L.enumerate_partitions(0)
+        with pytest.raises(L.GroundSetMismatch,
+                           match="^coarser_than has a different ground set$"):
+            L.enumerate_partitions(4, coarser_than=bp("1,2|3", 3))
 
     def test_coarsen_merges_base_blocks(self):
         a1 = bp("1,2|3,4|5,6|7", 7)

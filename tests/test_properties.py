@@ -52,7 +52,7 @@ def integer_models(draw):
                 steps.append(-sum(steps))
             rows.append([F(b + t * s, sum(base)) for b, s in zip(base, steps)])
     thetas = tuple(f"t{t + 1}" for t in range(m))
-    return L.build_model(thetas, tuple(str(j + 1) for j in range(n)), rows, "drawn")
+    return L.FiniteModel(thetas, tuple(str(j + 1) for j in range(n)), rows, "drawn")
 
 
 @st.composite
@@ -80,7 +80,7 @@ def margin_free_tables(draw):
     rows = [[F(x + t * d, total) for xs, ds in zip(base, step) for x, d in zip(xs, ds)]
             for t in range(m)]
     thetas = tuple(f"t{t + 1}" for t in range(m))
-    return L.build_model(thetas, tuple(str(j + 1) for j in range(a * b)), rows, "table")
+    return L.FiniteModel(thetas, tuple(str(j + 1) for j in range(a * b)), rows, "table")
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -255,7 +255,7 @@ def check_theta_order(model, order):
 
     The zero-sum packing takes row 0 as its reference; any row must do.
     """
-    moved = L.build_model([model.theta_labels[t] for t in order], model.sample_labels,
+    moved = L.FiniteModel([model.theta_labels[t] for t in order], model.sample_labels,
                           [model.probs[t] for t in order], "moved")
     within = L.mss_partition(model)
     assert L.mss_partition(moved) == within
@@ -271,7 +271,7 @@ def check_point_permutation(model, pi):
     """Moving sample point j to ``pi[j]`` maps every lattice answer through pi."""
     n = model.n_samples
     inverse = sorted(range(n), key=pi.__getitem__)
-    moved = L.build_model(model.theta_labels, [model.sample_labels[j] for j in inverse],
+    moved = L.FiniteModel(model.theta_labels, [model.sample_labels[j] for j in inverse],
                           [[row[j] for j in inverse] for row in model.probs], "moved")
 
     def image(p):
@@ -305,7 +305,7 @@ def test_permuting_sample_points_maps_every_lattice_answer(model, data):
 def _crossing_models():
     # Few drawn models have unstable statistics; these have many.
     ex2 = L.example2_model()
-    repeated = L.build_model(("t1", "t1b", "t2"), ex2.sample_labels,
+    repeated = L.FiniteModel(("t1", "t1b", "t2"), ex2.sample_labels,
                              [ex2.probs[0], ex2.probs[0], ex2.probs[1]], "repeated")
     return [L.example1_model(F(1, 100)), L.example1_model(F(1, 224)), ex2, repeated]
 

@@ -13,9 +13,8 @@ class TestMssPartition:
     def test_identity_for_generic_eps(self, ex1):
         assert L.mss_partition(ex1) == L.Partition.singletons(7)
 
-    def test_degenerate_eps_merges_equal_ratio_columns(self):
-        m = L.example1_model(0, allow_degenerate=True)
-        assert L.mss_partition(m) == bp("1,4,6|2,3|5|7", 7)
+    def test_degenerate_eps_merges_equal_ratio_columns(self, ex1_eps0):
+        assert L.mss_partition(ex1_eps0) == bp("1,4,6|2,3|5|7", 7)
 
     def test_one_theta_collapses_to_one_block(self, one_theta):
         assert L.mss_partition(one_theta) == L.Partition.one_block(3)
@@ -23,8 +22,8 @@ class TestMssPartition:
     def test_example2_is_identity(self, ex2):
         assert L.mss_partition(ex2) == L.Partition.singletons(4)
 
-    def test_pushforward_of_mss_has_nonproportional_columns(self, ex1, ex2):
-        models = [ex1, ex2, L.example1_model(0, allow_degenerate=True)]
+    def test_pushforward_of_mss_has_nonproportional_columns(self, ex1, ex2, ex1_eps0):
+        models = [ex1, ex2, ex1_eps0]
         models += random_models(99, 25)
         for m in models:
             t = L.mss_partition(m)
@@ -61,9 +60,8 @@ class TestEvMs:
         assert eb.space == ((0, 1, 2),)
         assert eb.observed_block == 0
 
-    def test_degenerate_observed_block(self):
-        m = L.example1_model(0, allow_degenerate=True)
-        eb = L.ev_ms(L.InferenceBase(m, 3))
+    def test_degenerate_observed_block(self, ex1_eps0):
+        eb = L.ev_ms(L.InferenceBase(ex1_eps0, 3))
         assert eb.space[eb.observed_block] == (0, 3, 5)
 
     def test_evidence_base_invariants(self, ex1):
@@ -73,6 +71,15 @@ class TestEvMs:
         # One sample of the model per kept block.
         with pytest.raises(ValueError):
             L.EvidenceBase(mss=mss, kept=(0, 1, 2), model=model, observed=0, relation="sc")
+
+    @pytest.mark.parametrize("relation", ["S", "c", "", "ms"])
+    def test_evidence_base_rejects_an_unknown_relation(self, ex1, relation):
+        # match_reductions words an obstruction by the relation, so a record
+        # naming any other relation must not be built.
+        ms = L.ev_ms(L.InferenceBase(ex1, 0))
+        with pytest.raises(ValueError,
+                           match=f"^relation must be 's' or 'sc', got {relation!r}$"):
+            L.EvidenceBase(ms.mss, ms.kept, ms.model, ms.observed, relation)
 
 
 class TestSEquivalence:
@@ -94,7 +101,7 @@ class TestSEquivalence:
             assert_s_witness(ib, reduced, h)
 
     def test_theta_space_mismatch(self, ex2):
-        other = L.build_model(("p", "q"), ("1", "2"),
+        other = L.FiniteModel(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         with pytest.raises(L.ThetaSpaceMismatch):
             L.s_equivalent(L.InferenceBase(ex2, 0), L.InferenceBase(other, 0))
@@ -142,7 +149,7 @@ class TestMatchReductions:
         # columns, so this is the only way to exercise tie-breaking.
         labels = tuple(str(i + 1) for i in range(len(columns)))
         rows = [[col[t] for col in columns] for t in range(2)]
-        model = L.build_model(("theta1", "theta2"), labels, rows)
+        model = L.FiniteModel(("theta1", "theta2"), labels, rows)
         n = len(columns)
         return L.EvidenceBase(L.Partition.singletons(n), tuple(range(n)), model,
                               observed, "s")
@@ -154,7 +161,7 @@ class TestMatchReductions:
         assert L.match_reductions(r1, r2) == L.Relabeling((0, 2, 1))
 
     def test_parameter_labels_are_an_obstruction(self, ex2):
-        other = L.build_model(("p", "q"), ("1", "2"),
+        other = L.FiniteModel(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         verdict = L.match_reductions(L.ev_ms(L.InferenceBase(ex2, 0)),
                                      L.ev_ms(L.InferenceBase(other, 0)))
