@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .ancillary import laminal, maximal_ancillaries
-from .errors import NotSCEquivalent, ThetaSpaceMismatch
+from .errors import NotSCEquivalent
 from .model import InferenceBase, condition_on_event, format_model
 from .partitions import DEFAULT_ENUMERATION_CAP
 from .sufficiency import (
@@ -178,10 +178,8 @@ class RelationAuditReport:
 
 def _s_related(ib1, ib2) -> bool:
     # Bases over different parameter spaces are simply unrelated.
-    try:
-        return s_equivalent(ib1, ib2) is not None
-    except ThetaSpaceMismatch:
-        return False
+    return (ib1.model.theta_labels == ib2.model.theta_labels
+            and s_equivalent(ib1, ib2) is not None)
 
 
 def audit_relation(

@@ -72,6 +72,7 @@ class FiniteModel:
     scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        given = {"theta": self.theta_labels, "sample": self.sample_labels}
         thetas = tuple(self.theta_labels)
         samples = tuple(self.sample_labels)
         rows = tuple(
@@ -84,6 +85,8 @@ class FiniteModel:
         if not thetas or not samples:
             raise ModelError("need at least one parameter and one sample point")
         for axis, labels in (("theta", thetas), ("sample", samples)):
+            if isinstance(given[axis], str) or not all(isinstance(x, str) for x in labels):
+                raise ModelError(f"{axis} labels must be a sequence of strings")
             if len(set(labels)) != len(labels):
                 raise DuplicateLabel(f"duplicate {axis} label")
         if len(rows) != len(thetas) or any(len(r) != len(samples) for r in rows):

@@ -244,26 +244,15 @@ def enumerate_partitions(
 
 def _growth_strings(size: int) -> Iterator[tuple[int, ...]]:
     # Restricted growth strings of length ``size`` in lexicographic order.
-    # Each prefix of length size - 2 is followed by its admissible last two
-    # entries, which depend only on the prefix's maximum m (-1 when empty):
-    # x <= m + 1, then y <= max(m, x) + 1, read from one table per m.
-    if size == 1:
-        return iter([(0,)])
+    # Each string of length size - 2, from this same generator, is followed
+    # by its admissible last two entries, which depend only on its maximum
+    # m: x <= m + 1, then y <= max(m, x) + 1, read from one table per m.
+    if size <= 2:
+        return iter([(0,)] if size == 1 else [(0, 0), (0, 1)])
     tails = {m: [(x, y) for x in range(m + 2) for y in range(max(m, x) + 2)]
-             for m in range(-1, size - 2)}
-    return chain.from_iterable([prefix + t for t in tails[m]]
-                               for prefix, m in _prefixes(size - 2))
-
-
-def _prefixes(length: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    # Each restricted growth string of this length with its maximum, in
-    # lexicographic order, one at a time: extend each shorter one.
-    if length == 0:
-        yield (), -1
-        return
-    for prefix, m in _prefixes(length - 1):
-        for x in range(m + 2):
-            yield prefix + (x,), max(m, x)
+             for m in range(size - 2)}
+    return chain.from_iterable([prefix + t for t in tails[max(prefix)]]
+                               for prefix in _growth_strings(size - 2))
 
 
 def format_partition(p: Partition, labels: Sequence[str] | None = None) -> str:

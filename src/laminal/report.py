@@ -55,28 +55,22 @@ def csv_text(headers: list[str], rows: list[list[str]]) -> str:
 
 
 @dataclass
-class Section:
-    title: str
-    lines: list[str] = field(default_factory=list)
-
-
-@dataclass
 class ReportDocument:
-    """Ordered titled sections plus named CSV payloads."""
+    """Ordered ``(title, lines)`` sections plus named CSV payloads."""
 
     title: str
-    sections: list[Section] = field(default_factory=list)
+    sections: list[tuple[str, list[str]]] = field(default_factory=list)
     csv_attachments: list[tuple[str, str]] = field(default_factory=list)
 
     def add(self, title: str, lines: list[str]) -> None:
-        self.sections.append(Section(title, lines))
+        self.sections.append((title, lines))
 
     def render(self) -> str:
         out = [self.title, "=" * len(self.title), ""]
-        for sec in self.sections:
-            out.append(sec.title)
-            out.append("-" * len(sec.title))
-            out.extend(sec.lines)
+        for title, lines in self.sections:
+            out.append(title)
+            out.append("-" * len(title))
+            out.extend(lines)
             out.append("")
         if self.csv_attachments:
             names = ", ".join(name for name, _ in self.csv_attachments)

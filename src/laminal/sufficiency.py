@@ -168,6 +168,8 @@ def match_reductions(r1: EvidenceBase, r2: EvidenceBase) -> Relabeling | Obstruc
     not kept in ascending index order (the relation only constrains it on
     the kept ones).
     """
+    if r1.relation != r2.relation:
+        raise ValueError(f"records of different relations: {r1.relation!r} vs {r2.relation!r}")
     if r1.model.theta_labels != r2.model.theta_labels:
         return Obstruction(
             f"parameter labels differ: {r1.model.theta_labels} vs {r2.model.theta_labels}"

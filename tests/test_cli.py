@@ -592,6 +592,22 @@ class TestReproduce:
                 "zero-sum and the example1 reference answers do not hold\n")
         assert main(["reproduce", "example3", "--epsilon", "1/224"]) == 0
 
+    @pytest.mark.parametrize("which, name, wrong, label", [
+        ("example1", "EX1_LAMINAL", "1,2,3,4|5,6,7", "laminal"),
+        ("example2", "EX2_ROWS", ((F(1, 4),) * 4, (F(1, 4),) * 4), "distribution rows"),
+        ("example3", "EX3_L_ORIGINAL", (F(1, 2), F(1, 4), F(1, 4)),
+         "L distribution (original)"),
+    ])
+    def test_a_wrong_reference_fails_its_check_and_exits_1(
+            self, monkeypatch, capsys, which, name, wrong, label):
+        monkeypatch.setattr(f"laminal.cli.{name}", wrong)
+        assert main(["reproduce", which]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.endswith(": FAIL")] == \
+            [f"reference check ({label}): FAIL"]
+        at = lines.index("summary")
+        assert lines[at:at + 3] == ["summary", "-------", "SOME REFERENCE CHECKS FAILED"]
+
     def test_determinism_across_runs(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["reproduce", "all", "--epsilon", "1/100",

@@ -66,6 +66,19 @@ class TestBuildModel:
             L.FiniteModel(thetas, samples, rows)
         assert type(exc.value) is err
 
+    @pytest.mark.parametrize("thetas, samples, axis", [
+        ("ab", ("x", "y"), "theta"),
+        (("a", "b"), "xy", "sample"),
+        ((1, 2), ("x", "y"), "theta"),
+        (("a", "b"), ("x", 2), "sample"),
+    ])
+    def test_labels_must_be_a_sequence_of_strings(self, thetas, samples, axis):
+        # A bare string would be split into one label per character.
+        with pytest.raises(L.ModelError,
+                           match=f"^{axis} labels must be a sequence of strings$") as exc:
+            L.FiniteModel(thetas, samples, [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+        assert type(exc.value) is L.ModelError
+
     def test_exact_entries_are_kept_as_given(self):
         q = F(1, 3)
         m = L.FiniteModel(("a",), ("1", "2"), [[q, "2/3"]])

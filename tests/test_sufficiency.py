@@ -160,6 +160,15 @@ class TestMatchReductions:
         r2 = self._reduction([x, x, y], observed=2)
         assert L.match_reductions(r1, r2) == L.Relabeling((0, 2, 1))
 
+    def test_records_of_different_relations_are_rejected(self, ex1):
+        # An obstruction is worded by the relation, so an s record is never
+        # matched against an sc one.
+        ib = L.InferenceBase(ex1, 0)
+        with pytest.raises(ValueError, match="^records of different relations: 's' vs 'sc'$"):
+            L.match_reductions(L.ev_ms(ib), L.ev_sc(ib))
+        with pytest.raises(ValueError, match="^records of different relations: 'sc' vs 's'$"):
+            L.match_reductions(L.ev_sc(ib), L.ev_ms(ib))
+
     def test_parameter_labels_are_an_obstruction(self, ex2):
         other = L.FiniteModel(("p", "q"), ("1", "2"),
                               [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
