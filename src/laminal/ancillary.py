@@ -28,14 +28,12 @@ sample space.  A lattice lifts each mask it reads (to its blocks of
 ``within`` and their sorted points) once, in one memo, and every answer
 shares those tuples: the covers' blocks, Γ0 and the zero-sum events,
 witnesses and error messages.  So the partitions of one lattice share few
-distinct blocks, and a report can name each block once.  Each cover is
-built from its growth string by ``Partition._canonical``, the one trusted
-constructor.  The covers are sorted by their block tuples, then stably by
-block count: on one lattice that is ``sort_key``'s order, with keys read
-and compared in C, and ``sort_key`` is never called.  The stable
-ancillaries are the minimal ones: ``AncillaryClassification.stable`` is a
-property that returns the ``minimal`` tuple, so ``analyze`` names each
-minimal ancillary once for both of its sections.
+distinct blocks, and a report can name each block once.  The covers of
+one lattice share their number of points, so sorting them by their block
+tuples, then stably by block count, gives ``sort_key``'s order.  The
+stable ancillaries are the minimal ones: ``AncillaryClassification.stable``
+is a property that returns the ``minimal`` tuple, so ``analyze`` names
+each minimal ancillary once for both of its sections.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it

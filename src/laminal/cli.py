@@ -318,18 +318,15 @@ def _reproduce_example1(doc: ReportDocument, eps: Fraction) -> bool:
     doc.add(f"example1 (eps = {fmt_q(eps)}): distributions and likelihood ratios", lines)
 
     cls = classify(model)
-    lines = []
-    lines.append("minimal ancillaries: " + "; ".join(
-        format_partition(p, labels) for p in cls.minimal))
-    lines.append("maximal ancillaries: " + "; ".join(
-        format_partition(p, labels) for p in cls.maximal))
-    lines.append("laminal: " + format_partition(cls.laminal, labels))
-    got_min = {format_partition(p, labels) for p in cls.minimal}
-    got_max = {format_partition(p, labels) for p in cls.maximal}
-    ok &= _check(lines, "minimal ancillaries", got_min == set(EX1_MINIMAL))
-    ok &= _check(lines, "maximal ancillaries", got_max == set(EX1_MAXIMAL))
-    ok &= _check(lines, "laminal",
-                 format_partition(cls.laminal, labels) == EX1_LAMINAL)
+    minimal = [format_partition(p, labels) for p in cls.minimal]
+    maximal = [format_partition(p, labels) for p in cls.maximal]
+    laminal = format_partition(cls.laminal, labels)
+    lines = ["minimal ancillaries: " + "; ".join(minimal),
+             "maximal ancillaries: " + "; ".join(maximal),
+             "laminal: " + laminal]
+    ok &= _check(lines, "minimal ancillaries", set(minimal) == set(EX1_MINIMAL))
+    ok &= _check(lines, "maximal ancillaries", set(maximal) == set(EX1_MAXIMAL))
+    ok &= _check(lines, "laminal", laminal == EX1_LAMINAL)
     doc.add("example1: ancillary classification", lines)
     return ok
 
@@ -377,14 +374,15 @@ def _reproduce_example3(doc: ReportDocument, eps: Fraction) -> bool:
     ]
     scenarios = (("original", model), ("reweighted", mix))
     stats = {"L": lam, "C2": c2}
-    # One (theta1 row, theta2 row) table per statistic and scenario, in CSV order.
+    # One (theta1 row, theta2 row) table per statistic and scenario, in CSV
+    # order, and its block rows, which the C2 tables and the CSV both read.
     probs = {(stat, scen): block_probabilities(m, p)
              for stat, p in stats.items() for scen, m in scenarios}
-
-    def block_rows(stat: str, scen: str) -> list[list[str]]:
-        return [[",".join(labels[i] for i in block), fmt_q(p1), fmt_q(p2),
-                 fmt_q(p1 / p2), fmt_decimal(p1 / p2)]
-                for block, p1, p2 in zip(stats[stat].blocks, *probs[stat, scen])]
+    block_rows = {
+        (stat, scen): [[",".join(labels[i] for i in block), fmt_q(p1), fmt_q(p2),
+                        fmt_q(p1 / p2), fmt_decimal(p1 / p2)]
+                       for block, p1, p2 in zip(stats[stat].blocks, *rows)]
+        for (stat, scen), rows in probs.items()}
 
     for scen, want in (("original", EX3_L_ORIGINAL), ("reweighted", EX3_L_REWEIGHTED)):
         p1s, p2s = probs["L", scen]
@@ -398,7 +396,7 @@ def _reproduce_example3(doc: ReportDocument, eps: Fraction) -> bool:
         lines.append(f"C2 block probabilities ({scen}):")
         lines += table_lines(
             ["block", "p_theta1", "p_theta2", "likelihood_ratio", "decimal_lr"],
-            block_rows("C2", scen))
+            block_rows["C2", scen])
         ok &= _check(lines, f"C2 block probabilities ({scen})", probs["C2", scen] == want)
     p1s, p2s = probs["C2", "reweighted"]
     ok &= _check(lines, "reweighted C2 is informative (some ratio differs from 1)",
@@ -408,8 +406,8 @@ def _reproduce_example3(doc: ReportDocument, eps: Fraction) -> bool:
     doc.csv_attachments.append(("figure1.csv", csv_text(
         ["statistic", "block", "scenario", "p_theta1", "p_theta2",
          "likelihood_ratio", "decimal_lr"],
-        [[stat, row[0], scen, *row[1:]] for stat, scen in probs
-         for row in block_rows(stat, scen)])))
+        [[stat, row[0], scen, *row[1:]] for (stat, scen), rows in block_rows.items()
+         for row in rows])))
     return ok
 
 
@@ -499,9 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact ancillarity structure and evidence analysis of "
                     "finite discrete models.",
     )
+    # dest names the missing verb in argparse's error; each verb's own
+    # parser sets args.run, which main calls.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=True):
+    def common(p, run, cap=True):
+        p.set_defaults(run=run)
         if cap:  # only the verbs that search the ancillaries
             p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ENUMERATION_CAP,
                            help="enumeration size cap (default %(default)s)")
@@ -514,13 +515,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="restrict to functions of the minimal sufficient "
                         "partition (default on)")
-    common(p)
+    common(p, cmd_analyze)
 
     p = sub.add_parser("evidence", help="evidence function at an observed value")
     p.add_argument("model_file")
     p.add_argument("--observed", required=True, metavar="LABEL")
     p.add_argument("--function", choices=("ms", "sc"), default="sc")
-    common(p, cap=False)
+    common(p, cmd_evidence, cap=False)
 
     p = sub.add_parser("compare", help="equivalence of two inference bases")
     p.add_argument("model_file_1")
@@ -528,30 +529,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observed1", required=True, metavar="LABEL")
     p.add_argument("--observed2", required=True, metavar="LABEL")
     p.add_argument("--relation", choices=("s", "sc"), default="sc")
-    common(p, cap=False)
+    common(p, cmd_compare, cap=False)
 
     p = sub.add_parser("reproduce", help="regenerate built-in example tables")
     p.add_argument("which", choices=("example1", "example2", "example3", "all"))
     p.add_argument("--epsilon", type=_rational_arg, default=Fraction(1, 100),
                    metavar="a/b")
-    common(p, cap=False)
+    common(p, cmd_reproduce, cap=False)
 
     p = sub.add_parser("audit", help="relation audit on a seeded corpus")
     p.add_argument("--corpus-seed", type=int, default=1)
     p.add_argument("--corpus-size", type=_int_at_least(0), default=12)
     p.add_argument("--relation", choices=("s", "sc", "c"), default="sc")
-    common(p)
+    common(p, cmd_audit)
 
     return parser
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "evidence": cmd_evidence,
-    "compare": cmd_compare,
-    "reproduce": cmd_reproduce,
-    "audit": cmd_audit,
-}
 
 
 def _os_error(exc: OSError) -> int:
@@ -564,7 +556,7 @@ def _os_error(exc: OSError) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc, code = _COMMANDS[args.command](args)
+        doc, code = args.run(args)
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

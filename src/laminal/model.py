@@ -225,6 +225,8 @@ def validate_weights(
     weights: Sequence[Fraction | int | str], n_blocks: int
 ) -> tuple[Fraction, ...]:
     """Check a reweighting vector: one entry per block, >= 0, summing to 1."""
+    if isinstance(weights, str):  # "01" would split into the weights 0 and 1
+        raise InvalidWeights("weights must be a sequence, not one string")
     w = tuple(as_rational(v) for v in weights)
     if len(w) != n_blocks:
         raise WeightArityMismatch(f"{len(w)} weights for {n_blocks} blocks")

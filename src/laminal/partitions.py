@@ -196,17 +196,6 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition.from_assignment(zip(p, q))
 
 
-def coarsen(base: Partition, grouping: Partition) -> Partition:
-    """Merge the blocks of ``base`` according to a partition of block indices.
-
-    Point e goes to group ``grouping[base[e]]``; base blocks first occur in
-    order, so the groups do too and the string is canonical as it stands.
-    """
-    if grouping.n != base.n_blocks:
-        raise GroundSetMismatch("grouping must partition the base block indices")
-    return Partition._canonical(tuple(map(grouping.__getitem__, base)))
-
-
 def enumerate_partitions(
     n: int,
     coarser_than: Partition | None = None,

@@ -46,7 +46,6 @@ from laminal.ancillary import _Lattice
 from laminal.corpus import _random_mixture, audit_corpus, permuted_copy, random_models
 from laminal.evidence import _s_related
 from laminal import partitions
-from laminal.partitions import coarsen
 from laminal.report import fmt_vector
 
 from conftest import bp
@@ -196,10 +195,9 @@ def test_growth_strings_match_the_oracle_past_the_enumeration_sizes(n):
     assert list(partitions._growth_strings(n)) == list(_growth_strings(n))
 
 
-@pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])
-@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
-def test_classify_matches_the_replaced_algorithms(model, within_mss):
-    within = L.mss_partition(model) if within_mss else None
+def check_classify(model, within):
+    """classify, gamma0 and instability_witness against the replaced
+    algorithms; returns classify's answer."""
     anc = oracle_ancillaries(model, within)
     maxs = sorted(p for p in anc if not any(q != p and L.is_coarsening(p, q) for q in anc))
     mins = sorted(p for p in anc if all(L.is_coarsening(p, w) for w in maxs))
@@ -228,6 +226,13 @@ def test_classify_matches_the_replaced_algorithms(model, within_mss):
     # Each call builds its own lattice, so large lattices are sampled evenly.
     for u in cls.ancillaries[::1 + len(anc) // 60]:
         assert L.instability_witness(model, u, within=within) == by_statistic.get(u)
+    return cls
+
+
+@pytest.mark.parametrize("within_mss", [False, True], ids=["all", "within-mss"])
+@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
+def test_classify_matches_the_replaced_algorithms(model, within_mss):
+    check_classify(model, L.mss_partition(model) if within_mss else None)
 
 
 @pytest.mark.parametrize("model", [m for name, m in MODELS if m.n_samples <= 5],
@@ -950,11 +955,7 @@ def test_restrict_matches_the_trace_oracle():
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(drawn_partitions(), st.data())
 def test_coarsen_and_the_lattice_operations_match_the_block_oracles(p, data):
-    # coarsen over a grouping of p's blocks, and over a grouping of the
-    # wrong size; meet, join and is_coarsening against a second partition.
-    for size in (p.n_blocks, p.n_blocks + 1):
-        grouping = data.draw(drawn_partitions(size))
-        same_outcome(coarsen, oracle_coarsen, p, grouping)
+    # meet, join and is_coarsening against a second partition.
     q = data.draw(drawn_partitions(p.n))
     for r in (L.meet(p, q), join([p, q]), L.Partition.singletons(p.n), L.Partition.one_block(p.n)):
         assert "blocks" not in vars(r)

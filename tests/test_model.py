@@ -239,6 +239,15 @@ class TestMixture:
         with pytest.raises(L.InvalidWeights):
             L.mixture_model(ex1, a1, (F(1, 2), F(1, 4), F(1, 8), F(1, 16)))
 
+    def test_one_string_is_not_a_weight_vector(self, ex2):
+        # "01" would otherwise split into the weights 0 and 1, a mixture
+        # on the second block alone.
+        with pytest.raises(L.InvalidWeights, match="^weights must be a sequence, not one string$"):
+            L.validate_weights("01", 2)
+        with pytest.raises(L.InvalidWeights):
+            L.mixture_model(ex2, bp("1,2|3,4", 4), "01")
+        assert L.validate_weights(["0", "1"], 2) == (0, 1)
+
     def test_mixture_decomposition_identity(self, ex1, ex2):
         # Total probability recomposes from the blockwise conditionals.
         cases = [(ex1, bp("1,2|3,4|5,6|7", 7)), (ex1, bp("1,2,3,4|5,6|7", 7)),

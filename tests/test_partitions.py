@@ -6,7 +6,6 @@ import random
 import pytest
 
 import laminal as L
-from laminal.partitions import coarsen
 
 from conftest import bp
 
@@ -248,11 +247,6 @@ class TestEnumeration:
         with pytest.raises(L.GroundSetMismatch,
                            match="^coarser_than has a different ground set$"):
             L.enumerate_partitions(4, coarser_than=bp("1,2|3", 3))
-
-    def test_coarsen_merges_base_blocks(self):
-        a1 = bp("1,2|3,4|5,6|7", 7)
-        grouping = L.Partition([[0, 1], [2], [3]], 4)
-        assert coarsen(a1, grouping) == bp("1,2,3,4|5,6|7", 7)
 
 
 class TestText:
