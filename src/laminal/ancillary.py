@@ -66,7 +66,6 @@ from math import comb
 from operator import attrgetter
 
 from .errors import (
-    GroundSetMismatch,
     InternalCheckError,
     ModelError,
     NotAncillary,
@@ -74,6 +73,7 @@ from .errors import (
 )
 from .model import (
     FiniteModel,
+    _check_statistic,
     ancillary_distribution,
     condition_on_event,
 )
@@ -138,9 +138,7 @@ class _Lattice:
                  cap: int = DEFAULT_ENUMERATION_CAP):
         self.model, self.cap = model, cap
         self.within = Partition.singletons(model.n_samples) if within is None else within
-        if self.within.n != model.n_samples:
-            raise GroundSetMismatch(f"partition over {self.within.n} points does not "
-                                    f"match model with {model.n_samples}")
+        _check_statistic(model, self.within)
         self.k = self.within.n_blocks
         self._lifted: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # see lift
         self._payloads: dict[int, tuple] = {}  # witness payloads, built when read
@@ -223,9 +221,7 @@ class _Lattice:
     def _masks(self, u: Partition) -> tuple[int, ...]:
         # u's block masks, read through within's growth string: they overlap
         # unless u is a function of within, and are zero-sum if u is ancillary.
-        n = self.model.n_samples
-        if u.n != n:
-            raise GroundSetMismatch(f"partition over {u.n} points does not match model with {n}")
+        _check_statistic(self.model, u)
         masks = [0] * u.n_blocks
         for j, i in zip(u, self.within):
             masks[j] |= 1 << i
@@ -351,7 +347,7 @@ class _Lattice:
         return conforming
 
     def is_stable(self, u: Partition) -> bool:
-        return self.stable_events.issuperset(self._masks(u))
+        return set(self._masks(u)) <= self.stable_events  # u is checked before the table
 
     @cached_property
     def _enumeration_order(self) -> list[tuple[Partition, tuple[int, ...]]]:

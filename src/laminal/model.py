@@ -174,12 +174,18 @@ def example2_model() -> FiniteModel:
     )
 
 
+def _check_statistic(model: FiniteModel, p: Partition) -> None:
+    """Raise unless ``p`` is a partition of the model's sample points."""
+    if not isinstance(p, Partition):
+        raise ModelError(f"statistic must be a Partition, not {type(p).__name__}")
+    if p.n != model.n_samples:
+        raise GroundSetMismatch(f"partition over {p.n} points does not match model "
+                                f"with {model.n_samples}")
+
+
 def block_probabilities(model: FiniteModel, p: Partition) -> tuple[tuple[Fraction, ...], ...]:
     """Per-theta probabilities of the blocks of ``p`` (an m x k matrix)."""
-    if p.n != model.n_samples:
-        raise GroundSetMismatch(
-            f"partition over {p.n} points does not match model with {model.n_samples}"
-        )
+    _check_statistic(model, p)
     return tuple(
         tuple(model.event_prob(t, b) for b in p.blocks)
         for t in range(model.n_thetas)
@@ -225,7 +231,7 @@ def validate_weights(
     weights: Sequence[Fraction | int | str], n_blocks: int
 ) -> tuple[Fraction, ...]:
     """Check a reweighting vector: one entry per block, >= 0, summing to 1."""
-    if isinstance(weights, str):  # "01" would split into the weights 0 and 1
+    if isinstance(weights, (str, bytes, bytearray)):  # "01" would split into 0 and 1
         raise InvalidWeights("weights must be a sequence, not one string")
     w = tuple(as_rational(v) for v in weights)
     if len(w) != n_blocks:

@@ -4,7 +4,9 @@ Each command runs in-process through ``laminal.cli.main`` in a directory
 holding the model files below, and is recorded in ``parity.json`` with its
 exit code and the SHA-256 of its stdout and of its stderr.
 ``test_parity.py`` reruns every command and compares, so a change to any
-report byte fails tier-1.  After a deliberate output change, regenerate the
+report byte fails tier-1.  CI checks the same digests again through the
+installed ``laminal`` script, under an ASCII locale, in a directory that
+``write_models`` fills.  After a deliberate output change, regenerate the
 digests and say which commands changed and why::
 
     PYTHONPATH=src python tests/parity.py

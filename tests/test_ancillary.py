@@ -479,6 +479,24 @@ class TestCrossChecks:
         with pytest.raises(L.GroundSetMismatch,
                            match="^partition over 3 points does not match model with 7$"):
             L.is_stable(ex1, bp("1,2|3", 3))
+        # Checked before the event table, which 21 points exceed.
+        wide = L.FiniteModel(("t",), tuple(str(i + 1) for i in range(21)),
+                             [[F(1, 21)] * 21], "flat21")
+        with pytest.raises(L.GroundSetMismatch,
+                           match="^partition over 3 points does not match model with 21$"):
+            L.is_stable(wide, bp("1,2|3", 3))
+
+    @pytest.mark.parametrize("call,kind", [
+        (lambda m: L.mixture_model(m, "1,2|3,4", (F(1, 2), F(1, 2))), "str"),
+        (lambda m: L.model_of_statistic(m, (0, 0, 1, 1)), "tuple"),
+        (lambda m: L.is_stable(m, "1,2|3,4"), "str"),
+        (lambda m: L.instability_witness(m, (0, 0, 1, 1)), "tuple"),
+        (lambda m: L.classify(m, within=(0, 1, 2, 3)), "tuple"),
+    ], ids=["mixture_model", "model_of_statistic", "is_stable", "instability_witness",
+            "classify"])
+    def test_a_statistic_that_is_not_a_partition_is_rejected(self, ex2, call, kind):
+        with pytest.raises(L.ModelError, match=f"^statistic must be a Partition, not {kind}$"):
+            call(ex2)
 
     def test_a_witness_with_equal_probabilities_is_rejected(self, ex1, ex1_parts):
         w = L.instability_witness(ex1, ex1_parts["C2"])

@@ -310,15 +310,18 @@ PASS
                      "--function", "sc"]) == 3
         assert capsys.readouterr().err == "error: 2^21 event scan exceeds the cap of 2^20\n"
 
-    def test_sc_answers_past_the_search_cap(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_sc_answers_past_the_search_cap(self, tmp_path, capsys, n):
         # 14 minimal sufficient blocks are past the ancillary search cap of
-        # 13, but the laminal is read off the atoms: no search runs.
-        path = wide_file(tmp_path, 14)
+        # 13, but the laminal is read off the atoms: no search runs.  The
+        # zero-sum table is read from split halves, so 20 blocks, the event
+        # table's cap of 2^20, still answer.
+        path = wide_file(tmp_path, n)
         assert main(["evidence", path, "--observed", "1", "--function", "sc"]) == 0
         out = capsys.readouterr().out
         assert "laminal contour (conditioning event)\n" \
                "------------------------------------\n" \
-               "{1,2,3,4,5,6,7,8,9,10,11,12,13,14}\n" in out
+               "{" + ",".join(map(str, range(1, n + 1))) + "}\n" in out
         assert out.endswith("PASS\n")
         assert main(["compare", path, path, "--observed1", "1", "--observed2", "2",
                      "--relation", "sc"]) == 0

@@ -244,6 +244,8 @@ class TestMixture:
         # on the second block alone.
         with pytest.raises(L.InvalidWeights, match="^weights must be a sequence, not one string$"):
             L.validate_weights("01", 2)
+        with pytest.raises(L.InvalidWeights, match="^weights must be a sequence, not one string$"):
+            L.validate_weights(b"01", 2)
         with pytest.raises(L.InvalidWeights):
             L.mixture_model(ex2, bp("1,2|3,4", 4), "01")
         assert L.validate_weights(["0", "1"], 2) == (0, 1)
