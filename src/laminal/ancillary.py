@@ -60,29 +60,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import comb
 from operator import attrgetter
 
-from .errors import (
-    InternalCheckError,
-    ModelError,
-    NotAncillary,
-    SizeCapExceeded,
-)
+from .errors import InternalCheckError, ModelError, NotAncillary, SizeCapExceeded
 from .model import (
     FiniteModel,
     _check_statistic,
     ancillary_distribution,
     condition_on_event,
 )
-from .partitions import (
-    DEFAULT_ENUMERATION_CAP,
-    Partition,
-    enumerate_partitions,
-    join,
-)
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, cached, enumerate_partitions, join
 
 #: Bound on the number of points (or restriction blocks) for the zero-sum
 #: event table.  Its split halves take 2^(n/2) steps each, but a dense
@@ -166,7 +155,7 @@ class _Lattice:
         points = sorted([self.lift(z)[1] for z in masks], key=lambda e: (len(e), e))
         return tuple(map(frozenset, points))
 
-    @cached_property
+    @cached
     def zero(self) -> frozenset[int]:
         """Masks of all zero-sum events, the empty and the full one included."""
         if self.k > EVENT_SCAN_CAP:
@@ -179,7 +168,9 @@ class _Lattice:
         # base 2*bound+1.  No digit sum reaches half the base, so a packed
         # sum is zero exactly when every difference sum is.
         base = 2 * max((sum(map(abs, d)) for d in diffs), default=0) + 1
-        weight = [sum(d[i] * base**t for t, d in enumerate(diffs)) for i in range(self.k)]
+        weight = [0] * self.k  # packed by Horner's rule, one theta row at a time
+        for d in reversed(diffs):
+            weight = [w * base + x for w, x in zip(weight, d)]
         # Split halves: the subset sums of each half, indexed by mask; a low
         # mask completes a high one exactly when their sums cancel.
         half = self.k // 2
@@ -192,7 +183,7 @@ class _Lattice:
             by_sum.setdefault(s, []).append(m)
         return frozenset(h << half | m for h, s in enumerate(high) for m in by_sum.get(-s, ()))
 
-    @cached_property
+    @cached
     def _sums(self) -> tuple[tuple[int, ...], ...]:
         # Row t, block i: the scaled weight of block i of within under theta t.
         # Every row of model.scaled sums to the same S, so a ratio of two
@@ -200,7 +191,7 @@ class _Lattice:
         return tuple(tuple([sum(map(row.__getitem__, b)) for b in self.within.blocks])
                      for row in self.model.scaled)
 
-    @cached_property
+    @cached
     def atoms(self) -> tuple[int, ...]:
         # Scanned by popcount, an event is an atom when it holds no atom found.
         atoms: list[int] = []
@@ -212,7 +203,7 @@ class _Lattice:
                 atoms.append(z)
         return tuple(atoms)
 
-    @cached_property
+    @cached
     def conforming(self) -> frozenset[int]:
         # The events that meet each atom in a zero-sum event, one set per atom.
         zero = self.zero
@@ -270,7 +261,7 @@ class _Lattice:
         extend(0, (), ())
         return found
 
-    @cached_property
+    @cached
     def _blocks(self) -> dict[Partition, tuple[int, ...]]:
         return self._search(atoms_only=False)
 
@@ -282,16 +273,16 @@ class _Lattice:
         # per cover is built or kept alive for the collector to walk.
         return tuple(sorted(sorted(covers, key=attrgetter("blocks")), key=max))
 
-    @cached_property
+    @cached
     def ancillaries(self) -> tuple[Partition, ...]:
         return self._sorted(self._blocks)
 
-    @cached_property
+    @cached
     def maximal(self) -> tuple[Partition, ...]:
         # Atom rule (see the module docstring): maximals are the covers by atoms.
         return self._sorted(self._search(atoms_only=True))
 
-    @cached_property
+    @cached
     def minimal(self) -> tuple[Partition, ...]:
         # The coarsenings of the laminal (see the module docstring): the
         # ancillaries whose blocks lie in its algebra, the stable events.
@@ -307,7 +298,7 @@ class _Lattice:
             raise InternalCheckError("a coarsening of the laminal is not ancillary")
         return minimal
 
-    @cached_property
+    @cached
     def parts(self) -> tuple[int, ...]:
         # The laminal's blocks as disjoint masks, in order of their lowest bit.
         parts: list[int] = []
@@ -317,7 +308,7 @@ class _Lattice:
             raise InternalCheckError("a component of overlapping atoms is not zero-sum")
         return tuple(sorted(parts, key=lambda c: c & -c))
 
-    @cached_property
+    @cached
     def laminal(self) -> Partition:
         # Parts come in order of their lowest block of within, whose blocks
         # come in order of their least point: mapped to points, the part
@@ -325,7 +316,7 @@ class _Lattice:
         part_of = {i: j for j, c in enumerate(self.parts) for i in range(self.k) if c >> i & 1}
         return Partition._canonical(tuple(map(part_of.__getitem__, self.within)))
 
-    @cached_property
+    @cached
     def algebra(self) -> frozenset[int]:
         # Every union of laminal parts, the empty one included.
         masks = [0]
@@ -333,7 +324,7 @@ class _Lattice:
             masks += [m | c for m in masks]
         return frozenset(masks)
 
-    @cached_property
+    @cached
     def stable_events(self) -> frozenset[int]:
         # Definitional route: the conforming events (point masses and the
         # U & B lemma).  Structural route: the laminal's algebra.  Raising on
@@ -349,7 +340,7 @@ class _Lattice:
     def is_stable(self, u: Partition) -> bool:
         return set(self._masks(u)) <= self.stable_events  # u is checked before the table
 
-    @cached_property
+    @cached
     def _enumeration_order(self) -> list[tuple[Partition, tuple[int, ...]]]:
         # Witnesses are searched in enumerate_partitions order, so the one
         # reported does not depend on the order of the cover search.  Each
@@ -358,7 +349,7 @@ class _Lattice:
         covers = {v: (v, masks) for v, masks in self._blocks.items()}
         return list(filter(None, map(covers.get, parts)))
 
-    @cached_property
+    @cached
     def _witnesses(self) -> dict[int, tuple[int, int]]:
         # One entry per non-conforming block mask c (a conforming one meets
         # every zero-sum event in a zero-sum one): the first (order position,

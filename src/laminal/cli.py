@@ -128,28 +128,25 @@ def _int_at_least(low: int):
     return parse
 
 
-def _fs_path(text: str) -> Path:
+def _fs_path(text: str) -> str:
     # run() decodes argv as UTF-8; hand the file system back those bytes,
     # whatever its own encoding.
-    return Path(os.fsdecode(text.encode("utf-8", "surrogateescape")))
+    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
 
 
 def _load_model(path: str) -> FiniteModel:
+    # One decode in C (a text-mode read runs utf-8-sig's pure-Python
+    # decoder); splitlines ends lines at \r\n and \r, as a text read would.
     try:
-        return parse_model(_fs_path(path).read_text(encoding="utf-8-sig"))
+        with open(_fs_path(path), "rb") as f:
+            return parse_model(f.read().decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc}") from None
 
 
-def _model_table(model: FiniteModel, extra_rows: list[list[str]] | None = None) -> list[str]:
-    headers = ["x"] + list(model.sample_labels)
-    rows = [
-        [lab] + [fmt_q(v) for v in row]
-        for lab, row in zip(model.theta_labels, model.probs)
-    ]
-    if extra_rows:
-        rows.extend(extra_rows)
-    return table_lines(headers, rows)
+def _model_table(model: FiniteModel, extra_rows: tuple[list[str], ...] = ()) -> list[str]:
+    rows = [[lab, *map(fmt_q, row)] for lab, row in zip(model.theta_labels, model.probs)]
+    return table_lines(["x", *model.sample_labels], [*rows, *extra_rows])
 
 
 def _check(doc_lines: list[str], label: str, ok: bool) -> bool:
@@ -307,7 +304,7 @@ def _reproduce_example1(doc: ReportDocument, eps: Fraction) -> bool:
     lr_row = ["LR"] + [
         fmt_q(model.probs[0][j] / model.probs[1][j]) for j in range(7)
     ]
-    lines = _model_table(model, extra_rows=[lr_row])
+    lines = _model_table(model, extra_rows=(lr_row,))
     expected = {
         lab: tuple(_eval_form(f, eps) for f in EX1_FORMS[lab])
         for lab in model.theta_labels
@@ -568,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     text = doc.render()
     print(text, end="")
     if args.out:
-        out = _fs_path(args.out)
+        out = Path(_fs_path(args.out))
         try:
             out.mkdir(parents=True, exist_ok=True)
             (out / "report.txt").write_text(text, encoding="utf-8")

@@ -43,6 +43,10 @@ from .partitions import Partition
 
 _ONE = Fraction(1)
 _RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
+# A row's entries after its label: every token a rational, each after
+# whitespace (``\s`` is the whitespace that str.split splits on).
+_RATIONAL_ROW = re.compile(r"(?:\s+[+-]?\d+(?:/\d+)?)+")
+_LABEL_MARKS = frozenset(",|{}")
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -87,6 +91,11 @@ class FiniteModel:
         for axis, labels in (("theta", thetas), ("sample", samples)):
             if isinstance(given[axis], str) or not all(isinstance(x, str) for x in labels):
                 raise ModelError(f"{axis} labels must be a sequence of strings")
+            # Only these labels read back as format_model writes them.
+            text = " ".join(labels)
+            if text.split() != list(labels) or "#" in text:
+                bad = next(x for x in labels if x.split() != [x] or "#" in x)
+                raise ModelError(f"{axis} label {bad!r} is empty or holds whitespace or '#'")
             if len(set(labels)) != len(labels):
                 raise DuplicateLabel(f"duplicate {axis} label")
         if len(rows) != len(thetas) or any(len(r) != len(samples) for r in rows):
@@ -315,7 +324,7 @@ def parse_model(text: str) -> FiniteModel:
     thetas, samples = head_t[1:], head_s[1:]
     # Such labels would make rendered partitions (a,b|c) and events ({a,b}) ambiguous.
     for lab in thetas + samples:
-        if any(ch in lab for ch in ",|{}"):
+        if not _LABEL_MARKS.isdisjoint(lab):
             raise ModelFormatError(f"label {lab!r} contains one of , | {{ }}")
     rows: dict[str, list[Fraction]] = {}
     for line in lines[3:]:
@@ -329,9 +338,12 @@ def parse_model(text: str) -> FiniteModel:
             raise ModelFormatError(
                 f"row {lab!r} has {len(toks) - 1} entries, expected {len(samples)}"
             )
+        # One match checks the whole row; only a row that fails it is
+        # scanned token by token, to name its first bad token.
+        checked = _RATIONAL_ROW.fullmatch(line, len(lab))
         row = []
         for tok in toks[1:]:
-            if not _RATIONAL_TOKEN.match(tok):
+            if not checked and not _RATIONAL_TOKEN.match(tok):
                 raise ModelFormatError(f"not an exact rational token: {tok!r}")
             # The pattern has checked the syntax, so split it by hand rather
             # than have Fraction match the token a second time.

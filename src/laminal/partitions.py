@@ -19,7 +19,7 @@ growth string itself; only ``Partition(blocks, n)``, for outside input,
 validates first.  Code that already holds a growth string builds through
 the one trusted constructor, ``Partition._canonical``, which checks
 nothing.  The blocks, sorted by their minimum element with
-elements sorted inside each block, are a cached property: built from the
+elements sorted inside each block, are ``cached``: built from the
 string on first read and then kept, or set at birth by code that already
 has them.  Everything here is a pure function over immutable values.
 """
@@ -27,7 +27,7 @@ has them.  Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 
 from .errors import EmptyInput, GroundSetMismatch, SizeCapExceeded, UnknownSampleLabel
@@ -35,6 +35,25 @@ from .errors import EmptyInput, GroundSetMismatch, SizeCapExceeded, UnknownSampl
 #: Default bound on the ground-set size (or block count when refining a base
 #: partition) for exhaustive enumeration.  Bell(13) is about 2.7e7.
 DEFAULT_ENUMERATION_CAP = 13
+
+
+class cached:
+    """``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on each first read.  A non-data descriptor: the value, computed
+    once (or set at birth), is kept in the instance's ``__dict__``, where
+    later reads find it.  ``func`` is the undecorated function."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Partition(tuple):
@@ -82,7 +101,7 @@ class Partition(tuple):
             raise ValueError("blocks must partition range(0, 0) exactly")
         return cls._canonical(block_of)
 
-    @cached_property
+    @cached
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         # Points are visited in order, so each block comes out sorted, and
         # the blocks in order of their least point.

@@ -35,12 +35,10 @@ def fmt_vector(values) -> str:
 
 def table_lines(headers: list[str], rows: list[list[str]]) -> list[str]:
     """Left-aligned fixed-width text table."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+
     def render(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+        return "  ".join(map(str.ljust, cells, widths)).rstrip()
     lines = [render(headers), render(["-" * w for w in widths])]
     lines.extend(render(row) for row in rows)
     return lines

@@ -58,6 +58,11 @@ def models() -> dict[str, L.FiniteModel]:
 RAW_FILES = {
     "bad.model": b"model bad\nthetas a b\nsamples x y\na 1/2 1/2\nb 1/3 1/3\n",
     "bom.model": b"\xef\xbb\xbfmodel m\nthetas a b\nsamples x y z\na 1/2 1/4 1/4\nb 1/4 1/2 1/4\n",
+    # Example 2 with non-ASCII labels, a byte order mark and CRLF line ends.
+    "utf8.model": "\ufeffmodel mod\u00e8le\r\nthetas \u03b8\u2081 \u03b8\u2082\r\n"
+                  "samples \u03b1 \u03b2 \u03b3 \u03b4\r\n"
+                  "\u03b8\u2081 1/6 1/6 2/6 2/6\r\n\u03b8\u2082 1/12 3/12 5/12 3/12\r\n"
+                  .encode("utf-8"),
 }
 
 
@@ -84,6 +89,9 @@ def commands() -> list[list[str]]:
         ["analyze", "ex1_100.model", "--cap", "1"],
         ["audit", "--relation", "c", "--cap", "1"],
         ["analyze", "bom.model"],
+        ["analyze", "utf8.model"],
+        ["evidence", "utf8.model", "--observed", "\u03b1"],
+        ["compare", "utf8.model", "utf8.model", "--observed1", "\u03b1", "--observed2", "\u03b4"],
     ]
     return cmds
 

@@ -3,7 +3,7 @@ import dataclasses
 import random
 import re
 from fractions import Fraction as F
-from functools import cached_property, reduce
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 import laminal as L
 from laminal.ancillary import _Lattice
 from laminal.corpus import random_models
+from laminal.partitions import cached
 
 from conftest import bp
 
@@ -159,7 +160,7 @@ class TestStability:
             searched.append(lat.k)
             return real(lat)
 
-        prop = cached_property(counted)
+        prop = cached(counted)
         prop.__set_name__(_Lattice, "_blocks")
         monkeypatch.setattr(_Lattice, "_blocks", prop)
         assert L.is_stable(ex1, ex1_parts["L"]) and not L.is_stable(ex1, ex1_parts["C2"])
@@ -392,7 +393,7 @@ class TestClassify:
             calls.append(lat.within)
             return table(lat)
 
-        zero = cached_property(counted)
+        zero = cached(counted)
         zero.__set_name__(_Lattice, "zero")
         monkeypatch.setattr(_Lattice, "zero", zero)
         proportional = L.FiniteModel(("a", "b"), ("1", "2", "3", "4"),
@@ -410,10 +411,21 @@ class TestClassify:
             assert cls.gamma0 == L.gamma0(model)
 
 
+def test_each_cached_lattice_value_keeps_its_undecorated_function(ex1):
+    names = [name for name, v in vars(_Lattice).items() if isinstance(v, cached)]
+    assert {"zero", "atoms", "_blocks", "maximal", "laminal", "_witnesses"} <= set(names)
+    lat = _Lattice(ex1, L.mss_partition(ex1))
+    for name in names:
+        func = getattr(_Lattice, name).func
+        assert func.__name__ == name and not isinstance(func, cached)
+        # A second computation gives the cached value again.
+        assert func(lat) == getattr(lat, name), name
+
+
 def _patch_lattice(monkeypatch, name, change):
     # Replace one cached _Lattice input by ``change(lat, real value)``.
     real = getattr(_Lattice, name).func
-    prop = cached_property(lambda lat: change(lat, real(lat)))
+    prop = cached(lambda lat: change(lat, real(lat)))
     prop.__set_name__(_Lattice, name)
     monkeypatch.setattr(_Lattice, name, prop)
 

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from functools import cached_property
 from pathlib import Path
 from random import Random
 
@@ -12,6 +11,7 @@ import laminal as L
 from laminal.ancillary import _Lattice
 from laminal.cli import _build_parser, main
 from laminal.corpus import _random_mixture
+from laminal.partitions import cached
 
 
 @pytest.fixture()
@@ -38,6 +38,9 @@ def wide_file(tmp_path, n):
     path.write_text(L.format_model(
         L.FiniteModel(("a", "b"), tuple(str(i + 1) for i in range(n)), rows, f"wide{n}")))
     return str(path)
+
+
+MODEL_BYTES = b"model m\nthetas a b\nsamples x y z\na 1/2 1/4 1/4\nb 1/4 1/2 1/4\n"
 
 
 @pytest.fixture()
@@ -125,6 +128,34 @@ class TestAnalyze:
         plain = capsys.readouterr()
         assert main(["analyze", str(path)]) == 0
         assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("bom, newline", [(b"", b"\r\n"), (b"", b"\r"),
+                                              (b"\xef\xbb\xbf", b"\r\n")],
+                             ids=["crlf", "cr", "bom-crlf"])
+    def test_other_line_ends_give_the_lf_report(self, ex1_file, tmp_path, capsys,
+                                                bom, newline):
+        lf = Path(ex1_file).read_bytes()
+        assert b"\r" not in lf
+        path = tmp_path / "other.model"
+        path.write_bytes(bom + lf.replace(b"\n", newline))
+        assert main(["analyze", ex1_file]) == 0
+        plain = capsys.readouterr()
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("data, position", [
+        # The position counts from the end of the byte order mark.
+        (b"\xef\xbb\xbf" + MODEL_BYTES[:31] + b"\xff" + MODEL_BYTES[31:], 31),
+        # Past the first 8 KiB: the whole file is decoded in one pass.
+        (MODEL_BYTES + b"#" + b"x" * 9000 + b"\n# \xff\n", 9065),
+    ], ids=["after-bom", "past-8-kib"])
+    def test_a_bad_byte_is_named_with_its_position(self, tmp_path, capsys, data, position):
+        path = tmp_path / "bad.model"
+        path.write_bytes(data)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: model file {path} is not UTF-8 text: 'utf-8' codec can't decode "
+            f"byte 0xff in position {position}: invalid start byte\n"))
 
     def test_labels_with_partition_syntax_exit_2(self, tmp_path, capsys):
         path = tmp_path / "labels.model"
@@ -334,7 +365,7 @@ PASS
             searched.append(lat.k)
             return real(lat)
 
-        prop = cached_property(counted)
+        prop = cached(counted)
         prop.__set_name__(_Lattice, "_blocks")
         monkeypatch.setattr(_Lattice, "_blocks", prop)
         assert main(["evidence", ex1_file, "--observed", "1", "--function", "sc"]) == 0

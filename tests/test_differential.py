@@ -13,12 +13,13 @@ the Gray-code walk over all 2^k subsets that built the zero-sum table,
 the two per-relation equivalence deciders with the command line's separate
 search for the obstruction reason, conditioning that filtered the event
 down to its live points, the conditional MLE table that divided by each
-block's mass itself, and the partition constructors that sorted,
-validated and prefilled blocks.
+block's mass itself, the partition constructors that sorted,
+validated and prefilled blocks, and the per-token check of a model row.
 """
 
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -976,3 +977,89 @@ def test_empty_ground_sets_are_still_rejected(n):
             old()
         with pytest.raises(ValueError, match=r"range\(0, 0\) exactly"):
             new(n)
+
+
+# ---------------------------------------------------------------------------
+# Parsing: one match of a whole model row against the per-token scan it
+# replaced, on rows of valid, Unicode-digit and bad tokens.
+# ---------------------------------------------------------------------------
+
+_OLD_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def oracle_row(toks):
+    """Each token checked by the token pattern, then its denominator, in order."""
+    row = []
+    for tok in toks:
+        if not _OLD_TOKEN.match(tok):
+            raise L.ModelFormatError(f"not an exact rational token: {tok!r}")
+        num, _, den = tok.partition("/")
+        den = int(den or 1)
+        if not den:
+            raise L.ModelFormatError(f"not a rational: {tok!r}")
+        row.append(F(int(num), den))
+    return row
+
+
+def oracle_parse(text):
+    # The drawn texts have a valid header and one line per row, in order.
+    lines = text.splitlines()
+    thetas, samples = lines[1].split()[1:], lines[2].split()[1:]
+    rows = [oracle_row(line.split()[1:]) for line in lines[3:]]
+    return FiniteModel(thetas, samples, rows, "m")
+
+
+# Zero in four decimal scripts: ASCII, Arabic-Indic, Devanagari, fullwidth.
+_ZEROS = (0x30, 0x660, 0x966, 0xFF10)
+# Whitespace that str.split splits on but str.splitlines does not break at.
+_SPACES = (" ", "\t", "\x1f", "\xa0", "\u1680", "\u2000", "\u202f", "\u3000")
+_BAD_TOKENS = ("0.5", "1/", "/2", "1//2", "x", "1e3", "\u00bd", "\u00b2", "--1",
+               "+-1", "1/+2", "1/-2", "1/0", "+0/00", "\u0661/\u0660", "1,2")
+
+
+def _spell(rng, num, den):
+    """``num/den`` as a token: unreduced, signed, zero-padded, mixed digits."""
+    f = rng.randint(1, 3)
+    parts = ["0" * rng.randint(0, 2) + str(num * f), "0" * rng.randint(0, 1) + str(den * f)]
+    sign = "-" if num == 0 and rng.random() < 0.5 else rng.choice(("", "+"))
+    text = sign + "/".join(parts)
+    return "".join(chr(rng.choice(_ZEROS) + int(c)) if c.isdigit() else c for c in text)
+
+
+def _model_text(rng):
+    n = rng.randint(1, 6)
+    lines = ["model m", "thetas a b", "samples " + " ".join(f"s{j}" for j in range(n))]
+    for lab in ("a", "b"):
+        counts = [rng.randint(0, 9) for _ in range(n)]
+        counts[rng.randrange(n)] += 1
+        total = sum(counts) + (rng.random() < 0.1)  # sometimes not summing to 1
+        toks = [_spell(rng, c, total) for c in counts]
+        for _ in range(rng.choice((0, 0, 1, 2))):  # bad tokens at random places
+            toks[rng.randrange(n)] = rng.choice(_BAD_TOKENS)
+        pad = [rng.choice(("", *_SPACES)) for _ in range(2)]
+        gaps = ["".join(rng.choices(_SPACES, k=rng.randint(1, 2))) for _ in toks]
+        lines.append(pad[0] + lab + "".join(g + t for g, t in zip(gaps, toks)) + pad[1])
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text)
+    except L.LaminalError as exc:
+        return type(exc), str(exc)
+    return m, m.name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_match_parses_as_the_per_token_scan(seed):
+    rng, kinds = random.Random(seed), Counter()
+    for _ in range(500):
+        text = _model_text(rng)
+        got = _outcome(L.parse_model, text)
+        assert got == _outcome(oracle_parse, text), text
+        kinds[got[0].__name__ if isinstance(got[0], type) else "model"] += 1
+        if got[0] is L.ModelFormatError:
+            kinds[got[1].split(":")[0]] += 1
+    # Valid models, both token errors, and rows that fail validation.
+    assert kinds["model"] and kinds["RowSumError"], kinds
+    assert kinds["not an exact rational token"] and kinds["not a rational"], kinds

@@ -79,6 +79,26 @@ class TestBuildModel:
             L.FiniteModel(thetas, samples, [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
         assert type(exc.value) is L.ModelError
 
+    @pytest.mark.parametrize("thetas, samples, axis, bad", [
+        # Both would be written "samples a b c d", so the two models (and
+        # their bases' content hashes) could not be told apart.
+        (("t",), ("a b", "c", "d"), "sample", "a b"),
+        (("t",), ("a", "b c", "d"), "sample", "b c"),
+        (("a b",), ("x", "y"), "theta", "a b"),
+        (("a", ""), ("x", "y"), "theta", ""),
+        (("a",), ("x", "y#"), "sample", "y#"),
+        (("a",), ("x", "y\tz"), "sample", "y\tz"),
+        (("a",), ("x", "y\u3000"), "sample", "y\u3000"),
+        (("a",), ("", "x y"), "sample", ""),
+    ])
+    def test_labels_that_do_not_read_back_are_rejected(self, thetas, samples, axis, bad):
+        # format_model writes labels space-separated, and '#' starts a comment.
+        rows = [[F(1, len(samples))] * len(samples)]
+        with pytest.raises(L.ModelError, match=f"^{axis} label {re.escape(repr(bad))} is "
+                                               "empty or holds whitespace or '#'$") as exc:
+            L.FiniteModel(thetas, samples, rows)
+        assert type(exc.value) is L.ModelError
+
     def test_exact_entries_are_kept_as_given(self):
         q = F(1, 3)
         m = L.FiniteModel(("a",), ("1", "2"), [[q, "2/3"]])

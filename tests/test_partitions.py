@@ -6,6 +6,8 @@ import random
 import pytest
 
 import laminal as L
+from laminal.ancillary import _Lattice
+from laminal.partitions import cached
 
 from conftest import bp
 
@@ -133,6 +135,42 @@ class TestValueSemantics:
         want = sorted(parts, key=L.Partition.sort_key)
         assert sorted(parts) == want
         assert min(parts) == want[0] and max(parts) == want[-1]
+
+
+class TestCached:
+    def test_each_value_is_computed_once_per_instance(self):
+        calls = []
+
+        class Box:
+            @cached
+            def value(self):
+                calls.append(self)
+                return len(calls)
+
+        a, b = Box(), Box()
+        assert [a.value, a.value, b.value, a.value, b.value] == [1, 1, 2, 1, 2]
+        assert calls == [a, b]
+        assert vars(a) == {"value": 1}
+
+    def test_blocks_set_by_the_cover_search_are_never_recomputed(self, ex1, monkeypatch):
+        built = []
+        real = L.Partition.blocks.func
+
+        def counted(p):
+            built.append(p)
+            return real(p)
+
+        blocks = cached(counted)
+        blocks.__set_name__(L.Partition, "blocks")
+        monkeypatch.setattr(L.Partition, "blocks", blocks)
+        lat = _Lattice(ex1, None)
+        for v in lat.ancillaries:
+            # The cover's blocks are the lattice's lifted point tuples.
+            assert all(b is lat.lift(z)[1] for b, z in zip(v.blocks, lat._blocks[v]))
+        # Only the lift reads blocks built from a string: those of within.
+        assert len(built) == 1 and built[0] is lat.within
+        assert L.Partition.singletons(3).blocks == ((0,), (1,), (2,))
+        assert built[1:] == [L.Partition.singletons(3)]
 
 
 class TestCoarsening:
