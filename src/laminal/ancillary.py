@@ -21,19 +21,12 @@ the laminal, is the components of overlapping atoms: it needs no search,
 and where the search runs it is re-checked.  A minimal ancillary coarsens
 every maximal, so their join, and every union of the laminal's blocks is
 zero-sum, so the minimal ancillaries are the ancillaries whose blocks lie
-in the laminal's algebra (those unions).  With ``within`` the table is that of
-the pushforward model on the blocks of ``within``, a statistic's blocks
-are read through its growth string, and answers are lifted back to the
-sample space.  A lattice lifts each mask it reads (to its blocks of
-``within`` and their sorted points) once, in one memo, and every answer
-shares those tuples: the covers' blocks, Γ0 and the zero-sum events,
-witnesses and error messages.  So the partitions of one lattice share few
-distinct blocks, and a report can name each block once.  The covers of
-one lattice share their number of points, so sorting them by their block
-tuples, then stably by block count, gives ``sort_key``'s order.  The
-stable ancillaries are the minimal ones: ``AncillaryClassification.stable``
-is a property that returns the ``minimal`` tuple, so ``analyze`` names
-each minimal ancillary once for both of its sections.
+in the laminal's algebra (those unions).  ``classify``'s ``within`` makes
+the table that of the pushforward model on the blocks of ``within``, with
+answers lifted back to the sample space; every other function answers in
+the sample-space lattice.  A lattice lifts each mask it reads to points
+once, in one memo, so its covers, Γ0, witnesses and error messages share
+those tuples, and a report can name each distinct block once.
 
 Stability is the property that makes an ancillary safe to condition on:
 reweighting the marginal distribution of any other ancillary must leave it
@@ -65,12 +58,7 @@ from math import comb
 from operator import attrgetter
 
 from .errors import InternalCheckError, ModelError, NotAncillary, SizeCapExceeded
-from .model import (
-    FiniteModel,
-    _check_statistic,
-    ancillary_distribution,
-    condition_on_event,
-)
+from .model import FiniteModel, _check_statistic, ancillary_distribution, condition_on_event
 from .partitions import DEFAULT_ENUMERATION_CAP, Partition, cached, enumerate_partitions, join
 
 #: Bound on the number of points (or restriction blocks) for the zero-sum
@@ -210,14 +198,12 @@ class _Lattice:
         return zero.intersection(*[{c for c in zero if c & a in zero} for a in self.atoms])
 
     def _masks(self, u: Partition) -> tuple[int, ...]:
-        # u's block masks, read through within's growth string: they overlap
-        # unless u is a function of within, and are zero-sum if u is ancillary.
+        # u's block masks, read through within's growth string; they are
+        # disjoint when u is a function of within, as over the singletons.
         _check_statistic(self.model, u)
         masks = [0] * u.n_blocks
         for j, i in zip(u, self.within):
             masks[j] |= 1 << i
-        if sum(masks) != (1 << self.k) - 1:
-            raise NotAncillary(f"{u!r} is not a function of the restricting partition")
         if not self.zero.issuperset(masks):
             raise NotAncillary(f"{u!r} is not ancillary")
         return tuple(masks)
@@ -399,39 +385,29 @@ class _Lattice:
         return InstabilityWitness(u, v, weights, block, lr, thetas)
 
 
-def ancillaries(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Partition, ...]:
+def ancillaries(model: FiniteModel) -> tuple[Partition, ...]:
     """All ancillary partitions, canonically sorted.
 
-    With ``within`` (typically the minimal sufficient partition) only
-    coarsenings of it are considered, i.e. only statistics that are
-    functions of it.  The trivial one-block partition is always included.
+    The trivial one-block partition is always included.  The ancillaries
+    that are functions of a partition ``within`` are
+    ``classify(model, within).ancillaries``.
     """
-    return _Lattice(model, within, cap).ancillaries
+    return _Lattice(model, None).ancillaries
 
 
 def maximal_ancillaries(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    model: FiniteModel, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Partition, ...]:
     """Ancillaries that no other ancillary strictly refines."""
-    return _Lattice(model, within, cap).maximal
+    return _Lattice(model, None, cap).maximal
 
 
-def minimal_ancillaries(
-    model: FiniteModel,
-    within: Partition | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[Partition, ...]:
+def minimal_ancillaries(model: FiniteModel) -> tuple[Partition, ...]:
     """Ancillaries that are coarsenings of every maximal ancillary."""
-    return _Lattice(model, within, cap).minimal
+    return _Lattice(model, None).minimal
 
 
-def laminal(model: FiniteModel, within: Partition | None = None) -> Partition:
+def laminal(model: FiniteModel) -> Partition:
     """The finest common coarsening of all maximal ancillaries.
 
     Its blocks are the components of overlapping atoms, so only the event
@@ -439,7 +415,7 @@ def laminal(model: FiniteModel, within: Partition | None = None) -> Partition:
     re-checked to be the join of the maximals and the maximum of the
     minimal ancillaries.
     """
-    return _Lattice(model, within).laminal
+    return _Lattice(model, None).laminal
 
 
 def is_stable(model: FiniteModel, u: Partition) -> bool:
@@ -448,24 +424,20 @@ def is_stable(model: FiniteModel, u: Partition) -> bool:
     Read from the event table, with no ancillary search: ``u`` is stable
     when each block is conforming, and the conforming events are checked to
     be the laminal's algebra, so the call fails loudly if they differ.
-    It answers in the sample-space lattice only: among functions of a
-    coarser ``within``, where ``analyze`` and ``instability_witness`` answer,
-    the stable statistics are ``classify(model, within).minimal``, which can
-    hold a statistic this call rejects.
+    Among functions of a partition ``within`` the stable statistics are
+    ``classify(model, within).minimal``, which can hold one this rejects.
     """
     return _Lattice(model, None).is_stable(u)
 
 
-def is_strong(
-    model: FiniteModel, u: Partition, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
+def is_strong(model: FiniteModel, u: Partition) -> bool:
     """True when reweighting ``u`` never makes another ancillary informative.
 
     Checked by conditioning on each block of ``u`` and testing every other
     ancillary in that conditional model, independently of the U & B lemma;
     the result must coincide with ``is_stable``.
     """
-    lat = _Lattice(model, None, cap)
+    lat = _Lattice(model, None)
     stable = lat.is_stable(u)
     conds = [(condition_on_event(model, b), b) for b in u.blocks]
     strong = all(
@@ -476,23 +448,16 @@ def is_strong(
     return strong
 
 
-def instability_witness(
-    model: FiniteModel,
-    u: Partition,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    within: Partition | None = None,
-) -> InstabilityWitness | None:
+def instability_witness(model: FiniteModel, u: Partition) -> InstabilityWitness | None:
     """First point-mass reweighting (deterministic order) that destabilizes ``u``.
 
     Candidates are point masses on each block of each ancillary, the
     ancillaries in enumeration order.  Point masses are complete (an
     unstable statistic always fails in some conditional model), so the
     search cannot miss.  Returns None when ``u`` is stable, read from the
-    table as in ``is_stable``: only an unstable ``u`` searches and meets
-    ``cap``.  With ``within`` the decision and the search stay inside that
-    restricted lattice, of which ``u`` must be an ancillary.
+    table as in ``is_stable``: only an unstable ``u`` searches.
     """
-    lat = _Lattice(model, within, cap)
+    lat = _Lattice(model, None)
     return lat.witness(u, lat._masks(u))
 
 
@@ -563,9 +528,9 @@ def classify(
 ) -> AncillaryClassification:
     """Compute the full taxonomy, running every internal cross-check.
 
-    With ``within`` the whole taxonomy describes the lattice of statistics
-    that are functions of ``within`` (isomorphic to the ancillary lattice
-    of the pushforward model on its blocks), so the stable/minimal identity
+    ``within``, which no other function takes, makes it the taxonomy of the
+    statistics that are functions of ``within`` (the ancillary lattice of
+    the pushforward model on its blocks), so the stable/minimal identity
     holds in both modes and is verified on every call.  ``gamma0`` is always
     the event-level scan of the full sample space: read from this call's
     own table when ``within`` is the singletons, from a second sample-space

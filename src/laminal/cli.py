@@ -21,12 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .ancillary import (
-    classify,
-    conditional_mle_table,
-    mle,
-    mle_ties,
-)
+from .ancillary import classify, conditional_mle_table, mle, mle_ties
 from .corpus import audit_corpus
 from .errors import EpsilonOutOfRange, LaminalError, ModelFormatError, SizeCapExceeded
 from .evidence import (

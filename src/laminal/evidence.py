@@ -57,12 +57,7 @@ def condition_on_laminal(r: EvidenceBase) -> EvidenceBase:
 
 
 def ev_sc(ib: InferenceBase) -> EvidenceBase:
-    """Minimal sufficient reduction conditioned on its laminal ancillary.
-
-    The evidence space is the observed laminal contour: the minimal
-    sufficient blocks sharing the observed laminal value, carrying the
-    conditional model given that value.
-    """
+    """Minimal sufficient reduction conditioned on its laminal ancillary."""
     return condition_on_laminal(ev_ms(ib))
 
 
@@ -137,7 +132,7 @@ def maximal_conditionals(
 ) -> tuple[InferenceBase, ...]:
     """The conditional bases given each maximal ancillary at the observed value."""
     out = []
-    for a in maximal_ancillaries(ib.model, None, cap):
+    for a in maximal_ancillaries(ib.model, cap=cap):
         block = a.blocks[a.block_of(ib.observed)]
         cond = condition_on_event(ib.model, block)
         out.append(InferenceBase(cond, block.index(ib.observed)))

@@ -47,6 +47,18 @@ _RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
 # whitespace (``\s`` is the whitespace that str.split splits on).
 _RATIONAL_ROW = re.compile(r"(?:\s+[+-]?\d+(?:/\d+)?)+")
 _LABEL_MARKS = frozenset(",|{}")
+_ATOM = re.compile(r"[^\s#,|{}]+")
+# An event as format_event renders it; inner events collapse to a space.
+_RENDERED_EVENT = re.compile(r"\{(?:[^\s#,|{}]+| )(?:,(?:[^\s#,|{}]+| ))*\}")
+
+
+def _renders_back(label: str) -> bool:
+    # An atom, or one event once its inner events collapse, innermost first.
+    while not _RENDERED_EVENT.fullmatch(label):
+        if (inner := _RENDERED_EVENT.sub(" ", label)) == label:
+            return _ATOM.fullmatch(label) is not None
+        label = inner
+    return True
 
 
 def as_rational(value: Fraction | int | str) -> Fraction:
@@ -96,6 +108,11 @@ class FiniteModel:
             if text.split() != list(labels) or "#" in text:
                 bad = next(x for x in labels if x.split() != [x] or "#" in x)
                 raise ModelError(f"{axis} label {bad!r} is empty or holds whitespace or '#'")
+            # Marks only as format_event names a pushforward's blocks, {a,b}.
+            if not _LABEL_MARKS.isdisjoint(text) and not all(map(_renders_back, labels)):
+                bad = next(x for x in labels if not _renders_back(x))
+                raise ModelError(f"{axis} label {bad!r} holds one of , | {{ }} "
+                                 "outside an event {a,b}")
             if len(set(labels)) != len(labels):
                 raise DuplicateLabel(f"duplicate {axis} label")
         if len(rows) != len(thetas) or any(len(r) != len(samples) for r in rows):
@@ -322,7 +339,7 @@ def parse_model(text: str) -> FiniteModel:
     if head_s[:1] != ["samples"] or len(head_s) < 2:
         raise ModelFormatError("third line must be 'samples <label> ...'")
     thetas, samples = head_t[1:], head_s[1:]
-    # Such labels would make rendered partitions (a,b|c) and events ({a,b}) ambiguous.
+    # The text names points: marks, as in {a,b}, name a pushforward's blocks.
     for lab in thetas + samples:
         if not _LABEL_MARKS.isdisjoint(lab):
             raise ModelFormatError(f"label {lab!r} contains one of , | {{ }}")

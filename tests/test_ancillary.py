@@ -55,7 +55,7 @@ class TestEnumerationOfAncillaries:
         # the full set is the union of the coarsenings of A1 and of A2.
         oracle = set(L.enumerate_partitions(7, coarser_than=ex1_parts["A1"]))
         oracle |= set(L.enumerate_partitions(7, coarser_than=ex1_parts["A2"]))
-        got = set(L.ancillaries(ex1, within=L.mss_partition(ex1)))
+        got = set(L.classify(ex1, L.mss_partition(ex1)).ancillaries)
         assert got == oracle
         assert len(got) == 25
         assert set(ex1_parts.values()) <= got
@@ -166,7 +166,7 @@ class TestStability:
         assert L.is_stable(ex1, ex1_parts["L"]) and not L.is_stable(ex1, ex1_parts["C2"])
         assert set(L.maximal_ancillaries(ex1)) == {ex1_parts["A1"], ex1_parts["A2"]}
         assert L.instability_witness(ex1, ex1_parts["L"]) is None
-        assert L.instability_witness(ex1, ex1_parts["T"], within=L.mss_partition(ex1)) is None
+        assert L.instability_witness(ex1, ex1_parts["T"]) is None
         assert searched == []
         assert L.instability_witness(ex1, ex1_parts["C2"]) is not None
         assert searched == [7]
@@ -291,10 +291,9 @@ class TestInstabilityWitness:
 
     def test_restricted_search_stays_in_the_lattice(self, ex1, ex1_parts):
         mss = L.mss_partition(ex1)
-        w = L.instability_witness(ex1, ex1_parts["C2"], within=mss)
-        assert w is not None
-        assert L.is_coarsening(w.via, mss)
-        assert L.instability_witness(ex1, ex1_parts["L"], within=mss) is None
+        witnesses = {w.unstable: w for w in L.classify(ex1, mss).witnesses}
+        assert L.is_coarsening(witnesses[ex1_parts["C2"]].via, mss)
+        assert ex1_parts["L"] not in witnesses
 
     def test_every_witness_recomputes(self, ex1):
         stable = set(L.minimal_ancillaries(ex1))

@@ -24,7 +24,7 @@ import pytest
 
 import laminal as L
 
-from test_differential import check_classify
+from test_differential import check_classify, check_wrappers_match_classify
 
 
 def census_models(n, m=2, d=8):
@@ -104,3 +104,9 @@ def test_sc_reduction_is_idempotent_on_the_census(n):
     for model in census_models(n):
         for j in range(n):
             assert L.ev_sc_idempotent(L.InferenceBase(model, j)), (model, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wrappers_match_classify_on_the_census(n):
+    for model in census_models(n):
+        check_wrappers_match_classify(model)

@@ -224,9 +224,11 @@ def check_classify(model, within):
     assert cls.gamma0 == oracle_gamma0(model) == L.gamma0(model)
     assert cls.witnesses == tuple(witnesses)
     by_statistic = {w.unstable: w for w in witnesses}
-    # Each call builds its own lattice, so large lattices are sampled evenly.
-    for u in cls.ancillaries[::1 + len(anc) // 60]:
-        assert L.instability_witness(model, u, within=within) == by_statistic.get(u)
+    # Each call builds its own sample-space lattice, so large lattices are
+    # sampled evenly; the restricted witnesses are checked above.
+    if within is None:
+        for u in cls.ancillaries[::1 + len(anc) // 60]:
+            assert L.instability_witness(model, u) == by_statistic.get(u)
     return cls
 
 
@@ -249,6 +251,34 @@ def test_is_stable_and_ancillary_events_match_the_oracles(model):
         if len({model.event_prob(t, s) for t in range(model.n_thetas)}) == 1
     }
     assert L.ancillary_events(model) == tuple(sorted(events, key=lambda e: (len(e), sorted(e))))
+
+
+def check_wrappers_match_classify(model):
+    """Each single-answer function is the matching field of ``classify(model)``.
+
+    The stability answers agree for every ancillary: ``is_stable``,
+    membership in ``minimal`` and a missing witness, and a witness is
+    ``classify``'s own.  ``is_strong`` conditions on every block, so it
+    joins them on an even sample of at most 20 ancillaries.
+    """
+    cls = L.classify(model)
+    assert L.ancillaries(model) == cls.ancillaries
+    assert L.maximal_ancillaries(model) == cls.maximal
+    assert L.minimal_ancillaries(model) == cls.minimal
+    assert L.laminal(model) == cls.laminal
+    assert L.gamma0(model) == cls.gamma0
+    minimal, witness = set(cls.minimal), {w.unstable: w for w in cls.witnesses}
+    for u in cls.ancillaries:
+        w = L.instability_witness(model, u)
+        assert L.is_stable(model, u) == (u in minimal) == (w is None)
+        assert w == witness.get(u)
+    for u in cls.ancillaries[::1 + len(cls.ancillaries) // 20]:
+        assert L.is_strong(model, u) == (u in minimal)
+
+
+@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
+def test_wrappers_match_classify(model):
+    check_wrappers_match_classify(model)
 
 
 def oracle_nested_witness(lat, u):
@@ -309,22 +339,13 @@ def test_witnesses_match_the_nested_scan(model, within_mss):
     assert bool(check_witness_order(lat)) == bool(want)
 
 
-def test_witness_outside_the_restricted_lattice_is_rejected(one_theta):
-    # All three points share one likelihood class, so the restricted lattice
-    # is the trivial partition alone; the singletons are ancillary but lie
-    # outside it.
-    mss = L.mss_partition(one_theta)
-    with pytest.raises(L.NotAncillary):
-        L.instability_witness(one_theta, L.Partition.singletons(3), within=mss)
-
-
 def test_within_over_another_ground_set_is_rejected(ex2):
     with pytest.raises(L.GroundSetMismatch, match="partition over 5 points does not match model with 4"):
-        L.ancillaries(ex2, within=L.Partition.singletons(5))
+        L.classify(ex2, within=L.Partition.singletons(5))
     # Checked before either cap: 25 blocks exceed both the search's and the
     # event table's.
     with pytest.raises(L.GroundSetMismatch, match="partition over 25 points does not match model with 7"):
-        L.ancillaries(L.example1_model(F(1, 100)), within=L.Partition.singletons(25))
+        L.classify(L.example1_model(F(1, 100)), within=L.Partition.singletons(25))
 
 
 
@@ -343,7 +364,7 @@ def _sc_parts(ib: InferenceBase, cap: int):
     """Shared ingredients: mss, pushforward, laminal, observed contour."""
     t = mss_partition(ib.model)
     pushed = model_of_statistic(ib.model, t)
-    lam = join(maximal_ancillaries(pushed, None, cap))
+    lam = join(maximal_ancillaries(pushed, cap=cap))
     t_obs = t.block_of(ib.observed)
     contour = lam.blocks[lam.block_of(t_obs)]
     conditional = condition_on_event(pushed, contour)

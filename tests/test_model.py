@@ -99,6 +99,26 @@ class TestBuildModel:
             L.FiniteModel(thetas, samples, rows)
         assert type(exc.value) is L.ModelError
 
+    @pytest.mark.parametrize("axis", ["theta", "sample"])
+    @pytest.mark.parametrize("bad", ["a,b", "d|e", "{a", "a}", "{a}b", "{a},{b}", "{}", "{a|b}"])
+    def test_labels_with_marks_outside_an_event_are_rejected(self, axis, bad):
+        # FiniteModel(("t", "u"), ("a,b", "c", "d|e"), rows) would render
+        # 0|1,2 and 0,1|2 alike, and its text would not parse.
+        labels = {"theta": ["t", "u"], "sample": ["b", "c", "d"]}
+        labels[axis][0] = bad
+        rows = [[F(1, 3)] * 3] * 2
+        with pytest.raises(L.ModelError, match=f"^{axis} label {re.escape(repr(bad))} holds "
+                                               r"one of , \| \{ \} outside an event \{a,b\}$"):
+            L.FiniteModel(labels["theta"], labels["sample"], rows)
+
+    def test_the_events_a_pushforward_names_its_blocks_by_are_labels(self, ex1):
+        pushed = L.model_of_statistic(ex1, bp("1,2|3,4|5,6,7", 7))
+        assert pushed.sample_labels == ("{1,2}", "{3,4}", "{5,6,7}")
+        twice = L.model_of_statistic(pushed, bp("1,2|3", 3))
+        assert twice.sample_labels == ("{{1,2},{3,4}}", "{{5,6,7}}")
+        assert L.format_partition(L.Partition.one_block(2), twice.sample_labels) \
+            == "{{1,2},{3,4}},{{5,6,7}}"
+
     def test_exact_entries_are_kept_as_given(self):
         q = F(1, 3)
         m = L.FiniteModel(("a",), ("1", "2"), [[q, "2/3"]])

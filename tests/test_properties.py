@@ -91,12 +91,12 @@ def margin_free_tables(draw):
 @given(integer_models())
 def test_maximal_ancillaries_are_the_pairwise_filter(model):
     for within in (None, L.mss_partition(model)):
-        anc = L.ancillaries(model, within)
+        cls = L.classify(model, within)
         # Finest first, so the any() below stops early on large lattices.
-        finest = sorted(anc, key=lambda q: -q.n_blocks)
-        pairwise = tuple(p for p in anc
+        finest = sorted(cls.ancillaries, key=lambda q: -q.n_blocks)
+        pairwise = tuple(p for p in cls.ancillaries
                          if not any(q != p and L.is_coarsening(p, q) for q in finest))
-        assert L.maximal_ancillaries(model, within) == pairwise
+        assert cls.maximal == pairwise
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -114,7 +114,8 @@ def test_conforming_events_are_the_pairwise_scan(model):
 @given(integer_models())
 def test_laminal_of_atoms_is_the_join_of_the_maximals(model):
     for within in (None, L.mss_partition(model)):
-        assert L.laminal(model, within) == L.join(L.maximal_ancillaries(model, within))
+        # The laminal of a lattice that has run no search.
+        assert _Lattice(model, within).laminal == L.join(L.classify(model, within).maximal)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -176,13 +177,13 @@ def test_lattice_steps_match_the_replaced_scans_on_margin_free_tables(model):
 def check_stability_reads(model):
     """Stability and witnesses read off the table agree with ``classify``'s search.
 
-    Public ``is_stable`` has no ``within``: it answers in the sample-space
-    lattice, where a function of the mss that is stable among functions of
-    the mss may be unstable, so under the mss the lattice's own reading is
-    compared with the restricted minimals.  The public witness call builds
-    a lattice and, for an unstable statistic, runs its search, so it is
-    made for every stable statistic and the first unstable one; the others
-    read the same lattice's table.
+    Public ``is_stable`` and ``instability_witness`` answer in the
+    sample-space lattice, where a function of the mss that is stable among
+    functions of the mss may be unstable, so under the mss the lattice's
+    own reading is compared with the restricted minimals.  The public
+    witness call builds a lattice and, for an unstable statistic, runs its
+    search, so it is made for every stable statistic and the first unstable
+    one; the others read the same lattice's table.
     """
     full_minimal = set(L.minimal_ancillaries(model))
     for within in (None, L.mss_partition(model)):
@@ -193,8 +194,8 @@ def check_stability_reads(model):
             assert lat.is_stable(u) == (u in minimal)
             assert L.is_stable(model, u) == (u in full_minimal)
             assert lat.witness(u, lat._masks(u)) == witness.get(u)
-            if u in public:
-                assert L.instability_witness(model, u, within=within) == witness.get(u)
+            if within is None and u in public:
+                assert L.instability_witness(model, u) == witness.get(u)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
