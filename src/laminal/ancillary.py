@@ -12,16 +12,19 @@ and Sahni's split-halves table in O(2^(n/2)) work plus the output.  A
 statistic is ancillary exactly when its blocks are in the table, and the
 ancillaries are the covers of the sample space by disjoint nonempty
 zero-sum events.  The maximal ones are the covers by atoms, the minimal
-nonempty zero-sum events, so one search lists both: a block B holding a
-smaller nonempty zero-sum event S splits into S and B - S, so a cover with
-a non-atom block is strictly refined, and a cover by atoms cannot be.
+nonempty zero-sum events: a block B holding a smaller nonempty zero-sum
+event S splits into S and B - S, so a cover with a non-atom block is
+strictly refined, and a cover by atoms cannot be.  So one search lists
+both: the maximals are the covers found whose blocks are all atoms, and
+only a lattice asked for nothing else lists the covers by atoms alone.
 Every zero-sum event is a disjoint union of atoms, and every atom is a
 block of some maximal (its complement splits into atoms), so their join,
 the laminal, is the components of overlapping atoms: it needs no search,
-and where the search runs it is re-checked.  A minimal ancillary coarsens
-every maximal, so their join, and every union of the laminal's blocks is
-zero-sum, so the minimal ancillaries are the ancillaries whose blocks lie
-in the laminal's algebra (those unions).  ``classify``'s ``within`` makes
+and where the search runs it is re-checked on masks, the maximals' blocks
+being exactly the atoms.  A minimal ancillary coarsens every maximal, so
+their join, and every union of the laminal's blocks is zero-sum, so the
+minimal ancillaries are the ancillaries whose blocks lie in the laminal's
+algebra (those unions).  ``classify``'s ``within`` makes
 the table that of the pushforward model on the blocks of ``within``, with
 answers lifted back to the sample space; every other function answers in
 the sample-space lattice.  A lattice lifts each mask it reads to points
@@ -59,7 +62,7 @@ from operator import attrgetter
 
 from .errors import InternalCheckError, ModelError, NotAncillary, SizeCapExceeded
 from .model import FiniteModel, _check_statistic, ancillary_distribution, condition_on_event
-from .partitions import DEFAULT_ENUMERATION_CAP, Partition, cached, enumerate_partitions, join
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, cached, enumerate_partitions
 
 #: Bound on the number of points (or restriction blocks) for the zero-sum
 #: event table.  Its split halves take 2^(n/2) steps each, but a dense
@@ -95,12 +98,17 @@ class InstabilityWitness:
             raise ValueError("witness probabilities must differ")
 
 
-def _bell(n: int) -> int:
-    """The number of partitions of n items: B(m+1) = sum of C(m, j) B(j)."""
+def _bells(n: int) -> tuple[int, ...]:
+    """The numbers of partitions of 0, ..., n items: B(m+1) = sum of C(m, j) B(j)."""
     bells = [1]
     for m in range(n):
         bells.append(sum(comb(m, j) * b for j, b in enumerate(bells)))
-    return bells[n]
+    return tuple(bells)
+
+
+#: Bell(b) for every laminal a lattice can have: b parts of at most
+#: EVENT_SCAN_CAP blocks of within.
+_BELL = _bells(EVENT_SCAN_CAP)
 
 
 class _Lattice:
@@ -265,22 +273,31 @@ class _Lattice:
 
     @cached
     def maximal(self) -> tuple[Partition, ...]:
-        # Atom rule (see the module docstring): maximals are the covers by atoms.
-        return self._sorted(self._search(atoms_only=True))
+        # Atom rule (see the module docstring): maximals are the covers by
+        # atoms.  Once the full search has run they are the ancillaries, in
+        # their order, whose blocks are all atoms; only a lattice that has
+        # not searched lists the covers by atoms alone.
+        if "_blocks" not in self.__dict__:
+            return self._sorted(self._search(atoms_only=True))
+        atoms, blocks = set(self.atoms), self._blocks
+        return tuple([p for p in self.ancillaries if atoms.issuperset(blocks[p])])
 
     @cached
     def minimal(self) -> tuple[Partition, ...]:
         # The coarsenings of the laminal (see the module docstring): the
         # ancillaries whose blocks lie in its algebra, the stable events.
         lam, events = self.laminal, self.stable_events
-        minimal = tuple([p for p in self.ancillaries if events.issuperset(self._blocks[p])])
-        if join(self.maximal) != lam:
+        blocks = self._blocks
+        minimal = tuple([p for p in self.ancillaries if events.issuperset(blocks[p])])
+        # The join of the maximals is the laminal, on masks: their blocks
+        # are exactly the atoms, whose overlap components are its parts.
+        if {z for p in self.maximal for z in blocks[p]} != set(self.atoms):
             raise InternalCheckError("join of maximal ancillaries is not the laminal")
         # The same test on the laminal's own masks: the search found it as a
         # cover by its parts, and they are stable events.
-        if self._blocks.get(lam) != self.parts or not events.issuperset(self.parts):
+        if blocks.get(lam) != self.parts or not events.issuperset(self.parts):
             raise InternalCheckError("laminal is not among the minimal ancillaries")
-        if len(minimal) != _bell(len(self.parts)):
+        if len(minimal) != _BELL[len(self.parts)]:
             raise InternalCheckError("a coarsening of the laminal is not ancillary")
         return minimal
 
@@ -412,8 +429,8 @@ def laminal(model: FiniteModel) -> Partition:
 
     Its blocks are the components of overlapping atoms, so only the event
     table's cap bounds it.  Wherever the ancillaries are searched it is
-    re-checked to be the join of the maximals and the maximum of the
-    minimal ancillaries.
+    re-checked to be the join of the maximals (their blocks are exactly the
+    atoms) and the maximum of the minimal ancillaries.
     """
     return _Lattice(model, None).laminal
 

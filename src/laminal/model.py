@@ -313,6 +313,13 @@ def mixture_model(
 
 
 def format_model(model: FiniteModel) -> str:
+    """The model as text, which ``parse_model`` reads back to an equal model.
+
+    Model text names points, so its labels hold none of ``,`` ``|`` ``{``
+    ``}``.  The block names of a pushforward, such as ``{1,2}``, are model
+    labels but not text labels: its text is written, and ``parse_model``
+    rejects it with a ``ModelFormatError`` that names the first such label.
+    """
     lines = [f"model {model.name}"]
     lines.append("thetas " + " ".join(model.theta_labels))
     lines.append("samples " + " ".join(model.sample_labels))

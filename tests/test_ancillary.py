@@ -10,7 +10,7 @@ import pytest
 
 import laminal as L
 from laminal.ancillary import _Lattice
-from laminal.corpus import random_models
+from laminal.corpus import _random_mixture, random_models
 from laminal.partitions import cached
 
 from conftest import bp
@@ -170,6 +170,34 @@ class TestStability:
         assert searched == []
         assert L.instability_witness(ex1, ex1_parts["C2"]) is not None
         assert searched == [7]
+
+    def test_classify_lists_the_covers_once(self, ex1, ex2, ex1_parts, monkeypatch):
+        # classify reads the maximals off its one full search; only
+        # maximal_ancillaries lists the covers by atoms alone, and the
+        # table answers list none.
+        searches = []
+        real = _Lattice._search
+
+        def counted(lat, atoms_only):
+            searches.append("atoms" if atoms_only else "full")
+            return real(lat, atoms_only)
+
+        monkeypatch.setattr(_Lattice, "_search", counted)
+        mix = _random_mixture(random.Random(7), 2, 8, "mix8")
+        for model, within in ((ex1, None), (ex1, L.mss_partition(ex1)), (ex2, None),
+                              (mix, None)):
+            searches.clear()
+            cls = L.classify(model, within)
+            assert searches == ["full"], (model.name, within)
+            assert cls.maximal and set(cls.maximal) <= set(cls.ancillaries)
+        searches.clear()
+        assert set(L.maximal_ancillaries(ex1)) == {ex1_parts["A1"], ex1_parts["A2"]}
+        assert searches == ["atoms"]
+        searches.clear()
+        assert L.laminal(ex1) == ex1_parts["L"]
+        assert L.is_stable(ex1, ex1_parts["L"]) and not L.is_stable(ex1, ex1_parts["C2"])
+        assert L.gamma0(ex1)
+        assert searches == []
 
     def test_classify_lifts_each_mask_once_and_witnesses_only_the_unstable(
             self, ex1, monkeypatch):
@@ -448,6 +476,16 @@ class TestCrossChecks:
         with pytest.raises(L.InternalCheckError,
                            match="^join of maximal ancillaries is not the laminal$"):
             L.minimal_ancillaries(ex1)
+
+    def test_a_maximal_with_a_non_atom_block_fails_the_join_check(self, ex1, monkeypatch):
+        # Every atom stays a block of some maximal, but the one-block cover's
+        # block, the full event, is not an atom of example1.
+        _patch_lattice(monkeypatch, "maximal",
+                       lambda lat, maximal: (L.Partition.one_block(7),) + maximal)
+        for call in (lambda: L.classify(ex1), lambda: L.minimal_ancillaries(ex1)):
+            with pytest.raises(L.InternalCheckError,
+                               match="^join of maximal ancillaries is not the laminal$"):
+                call()
 
     def test_a_search_without_one_coarsening_fails_the_bell_count(self, ex1, monkeypatch):
         # The laminal of example1 has three parts, so Bell(3) = 5 minimals;

@@ -10,8 +10,9 @@ smallest censuses each model also goes through the replaced algorithms of
 
 Larger censuses run outside pytest, by calling these same functions with
 ``src`` and ``tests`` on ``sys.path``: the CI workflow runs ``tally`` with
-``check_classify`` at 5 points, the idempotence test at 4 and 5, and the
-three-theta census at 6 points and with ``check_classify`` at 4.
+``check_classify`` at 5 points, the idempotence test at 4 and 5, the
+``is_strong`` = ``is_stable`` test at 5, and the three-theta census at 6
+points and with ``check_classify`` at 4.
 """
 
 from collections import Counter
@@ -104,6 +105,15 @@ def test_sc_reduction_is_idempotent_on_the_census(n):
     for model in census_models(n):
         for j in range(n):
             assert L.ev_sc_idempotent(L.InferenceBase(model, j)), (model, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_strong_matches_is_stable_on_the_census(n):
+    # The one theorem check that builds conditional models.  At n <= 3
+    # every census model has one maximal, so every ancillary is stable.
+    for model in census_models(n):
+        for u in L.ancillaries(model):
+            assert L.is_strong(model, u) == L.is_stable(model, u), (model, u)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

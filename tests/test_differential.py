@@ -710,9 +710,13 @@ def check_lattice_steps(model):
     """Each step of both lattices of ``model`` equals its oracle: the same
     tuples in the same order, and the same sets."""
     for within in (None, L.mss_partition(model)):
+        # The maximals by both routes: the covers by atoms alone, read before
+        # the full search, and the filter of the full search's covers.
+        by_atoms = _Lattice(model, within).maximal
         lat = _Lattice(model, within)
         assert lat.ancillaries == tuple(sorted(lat._blocks, key=L.Partition.sort_key))
-        assert lat.maximal == tuple(sorted(lat._search(atoms_only=True), key=L.Partition.sort_key))
+        assert by_atoms == lat.maximal == tuple(
+            sorted(lat._search(atoms_only=True), key=L.Partition.sort_key))
         zero = lat.zero
         assert lat.atoms == oracle_atoms(zero)
         assert lat.conforming == oracle_conforming(zero, lat.atoms)

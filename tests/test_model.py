@@ -8,6 +8,7 @@ import laminal as L
 from laminal import cli
 
 from conftest import bp
+from test_differential import MODELS
 
 
 class TestBuildModel:
@@ -309,6 +310,19 @@ class TestTextFormat:
             again = L.parse_model(L.format_model(m))
             assert again == m
             assert again.name == m.name
+
+    def test_text_reads_back_unless_a_label_holds_a_mark(self, ex1):
+        # Every test model with mark-free labels reads back; a pushforward
+        # names its blocks by events, which model text does not take.
+        marks = set(",|{}")
+        plain = [m for _, m in MODELS
+                 if marks.isdisjoint("".join(m.theta_labels + m.sample_labels))]
+        for m in plain:
+            assert L.parse_model(L.format_model(m)) == m
+        pushforward = L.model_of_statistic(ex1, L.mss_partition(ex1))
+        assert pushforward.sample_labels[0] == "{1}"
+        with pytest.raises(L.ModelFormatError, match=r"^label '\{1\}' contains one of"):
+            L.parse_model(L.format_model(pushforward))
 
     def test_comments_and_blank_lines(self):
         text = """
